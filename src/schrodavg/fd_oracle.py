@@ -6,6 +6,11 @@ shares only grid synthesis/projection with the rest of the package; agreement
 with the coefficient-space pipeline is therefore an independent check, not a
 tautology.
 
+The step matrix I - i (dt/2) A_h is the same on every step, so a run factors
+it once (LAPACK zgttrf) and each step is one tridiagonal solve with those
+factors (zgttrs).  scipy.linalg, which supplies both, is imported on first
+use; importing the package does not load it.
+
 Accuracy note: the discrete eigenvalue (2/h^2)(1 - cos(k pi h)) undershoots
 (k pi / L)^2 by about lambda_k (k pi h)^2 / 12, so high modes accrue phase
 error proportional to lambda_k T.  Keep compared modes low (k <= 4) or size
@@ -17,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
 
 from .averaging import AveragingParams
 from .errors import InvalidArgumentError, NumericError
@@ -70,17 +74,6 @@ class GridState:
         object.__setattr__(self, "values", v)
 
 
-def _lhs_banded(M: int, c: complex) -> np.ndarray:
-    # (I - i (dt/2) A_h) in solve_banded layout; A_h = tridiag(1, -2, 1)/h^2
-    ab = np.empty((3, M), dtype=complex)
-    ab[0, :] = -c
-    ab[1, :] = 1.0 + 2.0 * c
-    ab[2, :] = -c
-    ab[0, 0] = 0.0
-    ab[2, -1] = 0.0
-    return ab
-
-
 def _rhs_apply(values: np.ndarray, c: complex) -> np.ndarray:
     # (I + i (dt/2) A_h) u
     out = (1.0 - 2.0 * c) * values
@@ -89,14 +82,29 @@ def _rhs_apply(values: np.ndarray, c: complex) -> np.ndarray:
     return out
 
 
-def _solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        out = solve_banded((1, 1), ab, rhs)
-    except LinAlgError as exc:  # cannot happen for this matrix; guarded anyway
-        raise NumericError(f"tridiagonal solve failed: {exc}") from exc
-    if not np.all(np.isfinite(out.real) & np.isfinite(out.imag)):
-        raise NumericError("tridiagonal solve produced non-finite values")
-    return out
+def _cn_stepper(cfg: FdConfig):
+    """The map u -> (I - i (dt/2) A_h)^{-1} (I + i (dt/2) A_h) u for cfg.
+
+    A_h = tridiag(1, -2, 1)/h^2.  The left-hand matrix is factored here, once;
+    each call of the returned step is one solve with those factors.
+    """
+    from scipy.linalg.lapack import zgttrf, zgttrs
+
+    c = 1j * cfg.dt / (2.0 * cfg.h**2)
+    off = np.full(cfg.interior_points - 1, -c)
+    *lu, info = zgttrf(off, np.full(cfg.interior_points, 1.0 + 2.0 * c), off)
+    if info != 0:  # cannot happen for this matrix; guarded anyway
+        raise NumericError(f"tridiagonal factorization failed: zero pivot at row {info}")
+
+    def step(u: np.ndarray) -> np.ndarray:
+        out, info = zgttrs(*lu, _rhs_apply(u, c))
+        if info != 0:
+            raise NumericError(f"tridiagonal solve failed: LAPACK info {info}")
+        if not np.isfinite(out).all():
+            raise NumericError("tridiagonal solve produced non-finite values")
+        return out
+
+    return step
 
 
 def cn_step(state: GridState, cfg: FdConfig) -> GridState:
@@ -105,8 +113,7 @@ def cn_step(state: GridState, cfg: FdConfig) -> GridState:
         raise InvalidArgumentError(
             f"state length {state.values.size} != interior points {cfg.interior_points}"
         )
-    c = 1j * cfg.dt / (2.0 * cfg.h**2)
-    return GridState(_solve(_lhs_banded(cfg.interior_points, c), _rhs_apply(state.values, c)))
+    return GridState(_cn_stepper(cfg)(state.values))
 
 
 def _step_count(T: float, dt: float) -> int:
@@ -143,13 +150,12 @@ def oracle_time_average(
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     w *= cfg.dt / 3.0
-    c = 1j * cfg.dt / (2.0 * cfg.h**2)
-    ab = _lhs_banded(cfg.interior_points, c)
+    step = _cn_stepper(cfg)
     u = xi_grid.values
     acc = w[0] * u.astype(complex)
     for n in range(1, steps + 1):
         if not zero_operator:
-            u = _solve(ab, _rhs_apply(u, c))
+            u = step(u)
         acc = acc + w[n] * np.exp(params.r * (n * cfg.dt)) * u
     return GridState(acc)
 

@@ -168,11 +168,19 @@ class ConditioningReport:
         ]
 
 
+def _abs_expm1(x: float) -> float:
+    """|exp(x) - 1|, inf once exp(x) overflows (a quotient by it is then 0)."""
+    try:
+        return abs(math.expm1(x))
+    except OverflowError:
+        return math.inf
+
+
 def stability_bound(params: AveragingParams) -> float:
     """(1 + |r|) / |exp((Re r) T) - 1|; requires Re r != 0."""
     if params.r.real == 0.0:
         raise IllPosedError("stability bound diverges at Re r = 0")
-    return (1.0 + abs(params.r)) / abs(math.expm1(params.r.real * params.T))
+    return (1.0 + abs(params.r)) / _abs_expm1(params.r.real * params.T)
 
 
 def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> ConditioningReport:
@@ -180,8 +188,12 @@ def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> Condit
     lam = basis.lambdas
     z = _zeta_values(params.r, params.T, lam)
     absz = np.abs(z)
-    denom_re = abs(math.expm1(params.r.real * params.T))
-    denom_full = abs(complex(_cexpm1(np.asarray(params.r * params.T))))
+    denom_re = _abs_expm1(params.r.real * params.T)
+    # |exp(rT) - 1| >= |exp(Re r T) - 1|, so it overflows whenever that does
+    denom_full = (
+        math.inf if denom_re == math.inf
+        else abs(complex(_cexpm1(np.asarray(params.r * params.T))))
+    )
     with np.errstate(divide="ignore"):
         inv_bound = np.hypot(params.r.real, params.r.imag - lam) / denom_re
         psi = np.sqrt(abs(params.r) ** 2 + lam**2) / denom_full

@@ -1,14 +1,18 @@
 """Command-line runner: pipelines, exit codes, file artifacts, determinism."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import schrodavg
 from schrodavg import load_coefficients
-from schrodavg.cli import ExperimentConfig, load_config, main, run
+from schrodavg.cli import COMMANDS, ExperimentConfig, load_config, main, run
 
 T_FULL_REVOLUTION = 2.0 / np.pi
 
@@ -214,3 +218,63 @@ class TestDeterminism:
         assert report.command == "roundtrip"
         assert report.errors["roundtrip_rel_h"] <= 1e-12
         assert report.timings["total_s"] > 0
+
+
+class TestImportCost:
+    def test_scipy_loads_only_for_the_oracle(self):
+        # scipy.integrate and scipy.linalg cost most of a command's start-up;
+        # only the oracle needs scipy, and it loads scipy.linalg on first use
+        code = (
+            "import json, sys\n"
+            "import schrodavg.cli\n"
+            "names = ('scipy.integrate', 'scipy.linalg')\n"
+            "before = [m for m in names if m in sys.modules]\n"
+            "from schrodavg import AveragingParams, FdConfig, ModeCoefficients\n"
+            "from schrodavg import make_dirichlet_basis, oracle_mu_coeffs\n"
+            "b = make_dirichlet_basis(1.0, 2)\n"
+            "oracle_mu_coeffs(ModeCoefficients([1.0, 0.5], b), AveragingParams(1.0, 1.0),\n"
+            "                 FdConfig(16, 0.25))\n"
+            "print(json.dumps([before, [m for m in names if m in sys.modules]]))\n"
+        )
+        src = str(Path(schrodavg.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        before, after = json.loads(proc.stdout)
+        assert before == []
+        assert "scipy.linalg" in after
+
+
+# sha256 of every output file except report.json (it holds timings) for
+# `<command> --N 4096 --seed 7`, recorded before scipy was taken off the
+# import path and the oracle's matrix was factored once; both changes must
+# leave every byte as it was
+GOLDEN_SHA256 = {
+    ("forward", "trajectory.csv"): "04e5ab18e7224ddbbae2e069f85c2387db70c8a95b5f618c93391618bc4378f2",
+    ("forward", "trajectory.meta.json"): "76c529dff06ef6b5aab2a70ecb45b660ef158dbf4a4d91c0d15a4e1dfa095bb4",
+    ("average", "mu.json"): "ace6dea77064bf8f67dff03df42959e6c58588cad45b1f7fd5ecc86281281e77",
+    ("average", "zeta.csv"): "dec25ba6092546e1605f08b73975b64be246813f512ded7fe5cdbd3e6c6144ef",
+    ("recover", "trajectory.csv"): "425546352fbd66d24febf3243ab348b56f53659f8b82036845d0de0a850f1c80",
+    ("recover", "trajectory.meta.json"): "76c529dff06ef6b5aab2a70ecb45b660ef158dbf4a4d91c0d15a4e1dfa095bb4",
+    ("recover", "xi.json"): "332d6ac8d7d8e481a90571f7bada0d55f704c5e142a71ad5f31a6c08e0fce047",
+    ("recover", "zeta.csv"): "dec25ba6092546e1605f08b73975b64be246813f512ded7fe5cdbd3e6c6144ef",
+    ("roundtrip", "errors.csv"): "a75cece9fd783e285d6288a0e7771625ea7015d1807bbadd989695087947e62b",
+    ("roundtrip", "zeta.csv"): "dec25ba6092546e1605f08b73975b64be246813f512ded7fe5cdbd3e6c6144ef",
+    ("conditioning", "zeta.csv"): "89145e87cd422b625989d03c800dcece341f4b2768117031d0f67ae657c0aaf4",
+    ("oracle-check", "errors.csv"): "699db74c7298ad55ebba3365884133b04b17a05fbf943a29c299f2008e6f097b",
+    ("sweep", "errors.csv"): "0c79c12ed9edc60715e324f5f732ebb50cf0a8f89ca76e40fca555b1f404808a",
+}
+
+
+class TestGoldenBytes:
+    def test_every_output_file_matches_recorded_digest(self, tmp_path):
+        got = {}
+        for command in COMMANDS:
+            out = tmp_path / command
+            assert main([command, "--out", str(out), "--N", "4096", "--seed", "7"]) == 0
+            for f in out.iterdir():
+                if f.name != "report.json":
+                    got[(command, f.name)] = hashlib.sha256(f.read_bytes()).hexdigest()
+        assert got == GOLDEN_SHA256

@@ -4,6 +4,7 @@ import inspect
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from schrodavg import (
     AveragingParams,
@@ -147,6 +148,56 @@ class TestOracleMuCoeffs:
         with pytest.raises(InvalidArgumentError):
             oracle_mu_coeffs(ModeCoefficients(np.ones(16), b), AveragingParams(1.0, 1.0),
                              FdConfig(64, 0.05))
+
+
+def _banded_reference(u, params, cfg, steps):
+    """Stepping and Simpson accumulation with a fresh banded solve per step."""
+    c = 1j * cfg.dt / (2.0 * cfg.h**2)
+    ab = np.empty((3, u.size), dtype=complex)
+    ab[0, :] = -c
+    ab[1, :] = 1.0 + 2.0 * c
+    ab[2, :] = -c
+    ab[0, 0] = 0.0
+    ab[2, -1] = 0.0
+    w = np.ones(steps + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    w *= cfg.dt / 3.0
+    acc = w[0] * u
+    for n in range(1, steps + 1):
+        rhs = (1.0 - 2.0 * c) * u
+        rhs[:-1] += c * u[1:]
+        rhs[1:] += c * u[:-1]
+        u = solve_banded((1, 1), ab, rhs)
+        acc = acc + w[n] * np.exp(params.r * (n * cfg.dt)) * u
+    return u, acc
+
+
+class TestFactorOnce:
+    # one factorization reused for every step gives the same bits as
+    # re-solving the banded system from scratch on each step
+    M, STEPS = 64, 200
+
+    def _start(self):
+        rng = np.random.default_rng(43)
+        return rng.normal(size=self.M) + 1j * rng.normal(size=self.M)
+
+    def test_oracle_loop_bitwise_equals_banded_reference(self):
+        cfg = FdConfig(self.M, 1e-3)
+        params = AveragingParams(0.7 - 0.3j, self.STEPS * cfg.dt)
+        u0 = self._start()
+        _, want = _banded_reference(u0, params, cfg, self.STEPS)
+        got = oracle_time_average(GridState(u0), params, cfg)
+        assert np.array_equal(got.values, want)
+
+    def test_repeated_cn_step_bitwise_equals_banded_reference(self):
+        cfg = FdConfig(self.M, 1e-3)
+        u0 = self._start()
+        want, _ = _banded_reference(u0, AveragingParams(1.0, 1.0), cfg, self.STEPS)
+        u = GridState(u0)
+        for _ in range(self.STEPS):
+            u = cn_step(u, cfg)
+        assert np.array_equal(u.values, want)
 
 
 class TestIndependence:

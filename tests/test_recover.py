@@ -220,6 +220,17 @@ class TestConditioningReport:
         rep = conditioning_report(b, AveragingParams(2.0j, 1.0))
         assert report_summary(rep)["stability_bound"] is None
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the factors overflow too
+    def test_overflowing_weight_gives_zero_bounds(self):
+        # exp(Re r T) = exp(800) overflows a double; the bounds divide by it,
+        # so they are 0, and the report must not raise
+        b = make_dirichlet_basis(1.0, 8)
+        rep = conditioning_report(b, AveragingParams(800.0, 1.0))
+        assert rep.well_posed
+        assert rep.stability_bound == 0.0
+        assert np.all(rep.inv_zeta_bound == 0.0)
+        assert np.all(rep.psi == 0.0)
+
 
 class TestStabilityBound:
     def test_growing_weight(self):
@@ -233,6 +244,10 @@ class TestStabilityBound:
     def test_imaginary_weight_rejected(self):
         with pytest.raises(IllPosedError):
             stability_bound(AveragingParams(1.0j, 1.0))
+
+    def test_overflowing_weight_gives_zero(self):
+        assert stability_bound(AveragingParams(800.0, 1.0)) == 0.0
+        assert stability_bound(AveragingParams(400.0, 2.0)) == 0.0
 
 
 class TestPotentialShift:
