@@ -13,12 +13,11 @@ with the removable singularity at r = i lambda_k taking the value T.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .spectral import ModeCoefficients, SpectralBasis
+from .spectral import ModeCoefficients, SpectralBasis, _write_csv
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,11 +104,12 @@ def forward_smoothing_constant(basis: SpectralBasis, params: AveragingParams) ->
 
 
 def zeta_to_csv(factors: ZetaFactors, path) -> None:
-    """Rows k,lambda,zeta_re,zeta_im,abs_zeta with 17 significant digits."""
-    lines = ["k,lambda,zeta_re,zeta_im,abs_zeta"]
-    lam = factors.basis.lambdas
-    for k, (lv, zv) in enumerate(zip(lam, factors.values), start=1):
-        lines.append(
-            f"{k},{lv:.17g},{zv.real:.17g},{zv.imag:.17g},{abs(zv):.17g}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Rows k,lambda,zeta_re,zeta_im,abs_zeta through the shared 17g writer.
+
+    abs_zeta keeps numpy's scalar abs: vectorised np.abs can differ in the last
+    bit, and Python's complex abs raises OverflowError where numpy's reads inf.
+    """
+    z = factors.values
+    _write_csv(path, "k,lambda,zeta_re,zeta_im,abs_zeta", [
+        range(1, z.size + 1), factors.basis.lambdas, z.real, z.imag, [abs(v) for v in z],
+    ])

@@ -43,6 +43,7 @@ from .spectral import (
     DIRICHLET,
     PERIODIC,
     ModeCoefficients,
+    _write_csv,
     make_custom_basis,
     make_dirichlet_basis,
     make_periodic_basis,
@@ -197,14 +198,6 @@ def _rel_err(a: ModeCoefficients, b: ModeCoefficients, order: int) -> float:
     return sobolev_norm(diff, order) / ref if ref > 0 else sobolev_norm(diff, order)
 
 
-def _fmt(x) -> str:
-    return f"{x:.17g}"
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    path.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
-
-
 def run(cfg: ExperimentConfig, command: str) -> RunReport:
     """Execute one pipeline, writing artifacts under cfg.out."""
     if command not in COMMANDS:
@@ -300,11 +293,9 @@ def _run_roundtrip(cfg, out, report):
     zeta_to_csv(zeta_factors(basis, params), out / "zeta.csv")
     abs_err = np.abs(xi_hat.values - xi.values)
     denom = np.abs(xi.values)
-    rows = [
-        (str(k + 1), _fmt(abs_err[k]), _fmt(abs_err[k] / denom[k] if denom[k] > 0 else abs_err[k]))
-        for k in range(basis.mode_count)
-    ]
-    _write_csv(out / "errors.csv", "k,abs_error,rel_error", rows)
+    rel_err = np.divide(abs_err, denom, out=abs_err.copy(), where=denom > 0)
+    _write_csv(out / "errors.csv", "k,abs_error,rel_error",
+               [range(1, basis.mode_count + 1), abs_err, rel_err])
     report.outputs += [str(out / "zeta.csv"), str(out / "errors.csv")]
     report.well_posed = cfg.r.real != 0.0
     report.errors = {
@@ -338,18 +329,10 @@ def _run_oracle_check(cfg, out, report):
     oracle_mu = oracle_mu_coeffs(xi, params, fd)
     report.timings["oracle_s"] = time.perf_counter() - t0
     rel = np.abs(oracle_mu.values - spectral_mu.values) / np.abs(spectral_mu.values)
-    rows = [
-        (
-            str(k + 1),
-            _fmt(spectral_mu.values[k].real),
-            _fmt(spectral_mu.values[k].imag),
-            _fmt(oracle_mu.values[k].real),
-            _fmt(oracle_mu.values[k].imag),
-            _fmt(rel[k]),
-        )
-        for k in range(n_cmp)
-    ]
-    _write_csv(out / "errors.csv", "k,spectral_re,spectral_im,oracle_re,oracle_im,rel_error", rows)
+    spec, orac = spectral_mu.values, oracle_mu.values
+    _write_csv(out / "errors.csv", "k,spectral_re,spectral_im,oracle_re,oracle_im,rel_error", [
+        range(1, n_cmp + 1), spec.real, spec.imag, orac.real, orac.imag, rel,
+    ])
     report.outputs.append(str(out / "errors.csv"))
     report.errors = {"max_rel_error": float(rel.max()), "modes_compared": n_cmp}
 
@@ -361,42 +344,28 @@ def _run_sweep(cfg, out, report):
     mu = _initial_state(cfg, basis, default_decay=3.0)
     delta = _perturbed(mu, cfg.noise, cfg.seed + 1).values - mu.values
     noise_h2 = sobolev_norm(ModeCoefficients(delta, basis), 2)
-    rows = []
-    amps, errs = [], []
-    for re in sorted(cfg.sweep_re):
+    r_re = sorted(float(x) for x in cfg.sweep_re)
+    min_abs, errs_h, errs_h1, amps, bounds = [], [], [], [], []
+    for re in r_re:
         params = AveragingParams(complex(re, cfg.r.imag), cfg.T)
         xi_clean = recover_initial(mu, params)
         xi_noisy = recover_initial(ModeCoefficients(mu.values + delta, basis), params)
         diff = ModeCoefficients(xi_noisy.values - xi_clean.values, basis)
-        err_h = sobolev_norm(diff, 0)
         err_h1 = sobolev_norm(diff, 1)
-        amp = err_h1 / noise_h2 if noise_h2 > 0 else 0.0
-        bound = stability_bound(params)
-        rep = conditioning_report(basis, params)
-        rows.append(
-            (
-                _fmt(re),
-                _fmt(rep.min_abs_zeta),
-                _fmt(err_h),
-                _fmt(err_h1),
-                _fmt(noise_h2),
-                _fmt(amp),
-                _fmt(bound),
-            )
-        )
-        amps.append(amp)
-        errs.append(err_h1)
-    _write_csv(
-        out / "errors.csv",
-        "r_re,min_abs_zeta,error_h,error_h1,noise_h2,amplification,stability_bound",
-        rows,
-    )
+        min_abs.append(conditioning_report(basis, params).min_abs_zeta)
+        errs_h.append(sobolev_norm(diff, 0))
+        errs_h1.append(err_h1)
+        amps.append(err_h1 / noise_h2 if noise_h2 > 0 else 0.0)
+        bounds.append(stability_bound(params))
+    header = "r_re,min_abs_zeta,error_h,error_h1,noise_h2,amplification,stability_bound"
+    _write_csv(out / "errors.csv", header,
+               [r_re, min_abs, errs_h, errs_h1, [noise_h2] * len(r_re), amps, bounds])
     report.outputs.append(str(out / "errors.csv"))
     report.errors = {
         "noise": cfg.noise,
         "noise_h2": noise_h2,
         "max_amplification": max(amps) if amps else 0.0,
-        "monotone_error_h1": all(b <= a * (1 + 1e-12) for a, b in zip(errs, errs[1:])),
+        "monotone_error_h1": all(b <= a * (1 + 1e-12) for a, b in zip(errs_h1, errs_h1[1:])),
     }
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .spectral import CUSTOM, ModeCoefficients, sobolev_norm
+from .spectral import CUSTOM, ModeCoefficients, _write_csv, sobolev_norm
 
 # beyond this phase magnitude, reduce mod 2*pi before exponentiating to limit
 # argument-reduction error on long-time evaluations
@@ -73,17 +73,18 @@ def trajectory_sup_norm(traj: Trajectory, order: int) -> float:
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write rows t,k,re,im (17 significant digits) plus a basis sidecar.
+    """Write rows t,k,re,im through the shared 17g writer, plus a basis sidecar.
 
-    The sidecar lands next to the CSV with suffix ``.meta.json``.
+    Each time is formatted once and repeated over its N rows.  The sidecar
+    lands next to the CSV with suffix ``.meta.json``.
     """
     path = Path(path)
-    lines = ["t,k,re,im"]
-    for t, state in zip(traj.times, traj.states):
-        ts = f"{t:.17g}"
-        for k, v in enumerate(state.values, start=1):
-            lines.append(f"{ts},{k},{v.real:.17g},{v.imag:.17g}")
-    path.write_text("\n".join(lines) + "\n")
+    n = traj.basis.mode_count
+    times = [f"{t:.17g}" for t in traj.times.tolist()]
+    v = np.concatenate([s.values for s in traj.states])
+    _write_csv(path, "t,k,re,im", [
+        [ts for ts in times for _ in range(n)], list(range(1, n + 1)) * len(times), v.real, v.imag,
+    ])
     b = traj.basis
     meta = {"kind": b.kind, "L": b.domain_length, "N": b.mode_count, "cA": b.c_A}
     if b.kind == CUSTOM:

@@ -12,17 +12,15 @@ which degenerates as Re r -> 0; the conditioning report quantifies this.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .averaging import AveragingParams, _cexpm1, _zeta_values
 from .errors import DegenerateModeError, IllPosedError
 from .evolve import Trajectory, propagate
-from .spectral import ModeCoefficients, SpectralBasis, make_custom_basis, unit_floor_shift
+from .spectral import ModeCoefficients, SpectralBasis, _write_csv, make_custom_basis, unit_floor_shift
 
 # relative to the largest factor magnitude (floored at 1); below it, division
 # is refused and the offending modes reported
@@ -234,26 +232,19 @@ def potential_shift_solution(
 
 
 def report_to_csv(report: ConditioningReport, path) -> None:
-    """Rows k,lambda,abs_zeta,inv_zeta_bound,psi with 17 significant digits."""
-    lines = ["k,lambda,abs_zeta,inv_zeta_bound,psi"]
-    for k in range(report.basis.mode_count):
-        lines.append(
-            f"{k + 1},{report.basis.lambdas[k]:.17g},{report.abs_zeta[k]:.17g},"
-            f"{report.inv_zeta_bound[k]:.17g},{report.psi[k]:.17g}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Rows k,lambda,abs_zeta,inv_zeta_bound,psi through the shared 17g writer."""
+    b = report.basis
+    _write_csv(path, "k,lambda,abs_zeta,inv_zeta_bound,psi", [
+        range(1, b.mode_count + 1), b.lambdas, report.abs_zeta, report.inv_zeta_bound, report.psi,
+    ])
 
 
 def report_summary(report: ConditioningReport) -> dict:
     """JSON-safe summary {well_posed, min_abs_zeta, stability_bound, q}."""
     return {
         "well_posed": report.well_posed,
-        "min_abs_zeta": report.min_abs_zeta,
+        "min_abs_zeta": report.min_abs_zeta if math.isfinite(report.min_abs_zeta) else None,
         "stability_bound": report.stability_bound if math.isfinite(report.stability_bound) else None,
         "q": report.q,
     }
 
-
-def save_report(report: ConditioningReport, csv_path, json_path) -> None:
-    report_to_csv(report, csv_path)
-    Path(json_path).write_text(json.dumps(report_summary(report), indent=2) + "\n")

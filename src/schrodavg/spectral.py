@@ -364,3 +364,34 @@ def save_coefficients(path, c: ModeCoefficients) -> None:
 
 def load_coefficients(path) -> ModeCoefficients:
     return coefficients_from_json(json.loads(Path(path).read_text()))
+
+
+# --- CSV: a header line, then one row per index of equal-length columns -----
+
+_CSV_BLOCK_ROWS = 4096
+
+
+def _write_csv(path, header: str, columns) -> None:
+    """Write ``header`` and the rows of ``columns`` (1-d arrays or sequences).
+
+    Integer columns print as %d, string columns as %s and all others as %.17g,
+    enough digits to round-trip a double.  Each block of rows is formatted by
+    one %-operation, and only that block is held as text.
+    """
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    n_rows = len(cols[0]) if cols else 0
+    width = len(cols)
+    if any(len(c) != n_rows for c in cols):
+        raise InvalidArgumentError("CSV columns must have equal lengths")
+    row_fmt = ",".join(
+        "%s" if isinstance(x, str) else "%d" if isinstance(x, int) else "%.17g"
+        for x in (c[0] if c else 0.0 for c in cols)
+    ) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for a in range(0, n_rows, _CSV_BLOCK_ROWS):
+            m = min(_CSV_BLOCK_ROWS, n_rows - a)
+            flat = [None] * (width * m)
+            for j, c in enumerate(cols):
+                flat[j::width] = c[a : a + m]
+            fh.write((row_fmt * m) % tuple(flat))

@@ -104,6 +104,20 @@ class TestExitCodes:
         assert report["conditioning"]["min_abs_zeta"] <= 1e-14
         assert report["conditioning"]["stability_bound"] is None
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the factors overflow
+    def test_overflowing_weight_writes_strict_json(self, tmp_path):
+        # exp(800) overflows, so min |zeta| is NaN; report.json must still be
+        # standard JSON, which has no NaN or Infinity token
+        out = tmp_path / "ovf"
+        assert main(["conditioning", "--out", str(out), "--r-re", "800", "--N", "8"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert report["conditioning"]["min_abs_zeta"] is None
+        assert report["conditioning"]["stability_bound"] == 0.0
+
     def test_degenerate_recovery_exits_three(self, tmp_path, capsys):
         rc = main([
             "recover", "--out", str(tmp_path / "deg"),
@@ -249,8 +263,9 @@ class TestImportCost:
 
 # sha256 of every output file except report.json (it holds timings) for
 # `<command> --N 4096 --seed 7`, recorded before scipy was taken off the
-# import path and the oracle's matrix was factored once; both changes must
-# leave every byte as it was
+# import path and the oracle's matrix was factored once; both changes, and
+# the move of every CSV writer onto one block writer, must leave every byte
+# as it was
 GOLDEN_SHA256 = {
     ("forward", "trajectory.csv"): "04e5ab18e7224ddbbae2e069f85c2387db70c8a95b5f618c93391618bc4378f2",
     ("forward", "trajectory.meta.json"): "76c529dff06ef6b5aab2a70ecb45b660ef158dbf4a4d91c0d15a4e1dfa095bb4",
@@ -267,14 +282,60 @@ GOLDEN_SHA256 = {
     ("sweep", "errors.csv"): "0c79c12ed9edc60715e324f5f732ebb50cf0a8f89ca76e40fca555b1f404808a",
 }
 
+# the same for `<command> --config <PERIODIC_CONFIG> --seed 7`, recorded
+# before the CSV writers were merged: it adds the lambda = 0 row, complex
+# zeta (Im r != 0) and a periodic trajectory.meta.json; oracle-check is
+# Dirichlet-only and exits 1
+PERIODIC_CONFIG = {"basis": {"kind": "periodic_interval", "L": 1.0, "N": 512},
+                   "r": [0.5, 0.7], "T": 0.8}
+PERIODIC_SHA256 = {
+    ("forward", "trajectory.csv"): "3c6f73f2e17a8549bb9295892a42df00d8e2bee685dc15301352b7c9c86dee3f",
+    ("forward", "trajectory.meta.json"): "aa3087ea04a5f6a7c69fa1bbaaeb35344fcdcc583002c3b0da900a09bfb8b714",
+    ("average", "mu.json"): "dd694282e8a32e861383d5df100cc6fafac1bc407e78f633d0babd43667593db",
+    ("average", "zeta.csv"): "c129e185ec7e2c930e3dca853cfa630051f675b6914aa787165bf3847c7874dc",
+    ("recover", "trajectory.csv"): "284687de7aa5f2b07f9a26b9ae635c37f615fd91136c9c0ac6cbb365eca29a2a",
+    ("recover", "trajectory.meta.json"): "aa3087ea04a5f6a7c69fa1bbaaeb35344fcdcc583002c3b0da900a09bfb8b714",
+    ("recover", "xi.json"): "eacc3fdbb97ea0b35b631ecf30bfc36cec1b1ec2c43fd308a0aebf2f57034dfb",
+    ("recover", "zeta.csv"): "c129e185ec7e2c930e3dca853cfa630051f675b6914aa787165bf3847c7874dc",
+    ("roundtrip", "errors.csv"): "16cf93642b30266a903a0892b87a5389f7140bfcfd1b9315a36ee02a9d65e128",
+    ("roundtrip", "zeta.csv"): "c129e185ec7e2c930e3dca853cfa630051f675b6914aa787165bf3847c7874dc",
+    ("conditioning", "zeta.csv"): "c8eadf2f04b4d2c46d872ed60091d3e6596eccaa7c39c36e736f745aaf030608",
+    ("sweep", "errors.csv"): "b9c5709ed4eafa45699db38babfa61c38cca487d77e77e24055e56f408a42aa4",
+}
+
+
+def output_digests(tmp_path, commands, flags):
+    """{(command, file name): sha256} of every output but report.json."""
+    got = {}
+    for command in commands:
+        out = tmp_path / command
+        assert main([command, "--out", str(out), *flags]) == 0
+        for f in out.iterdir():
+            if f.name != "report.json":
+                got[(command, f.name)] = hashlib.sha256(f.read_bytes()).hexdigest()
+    return got
+
+
+def assert_digests(got, want):
+    # name the files, where a dict comparison prints a truncated diff
+    changed = sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
+    assert not changed, f"digest changed, appeared or vanished for {changed}"
+
 
 class TestGoldenBytes:
     def test_every_output_file_matches_recorded_digest(self, tmp_path):
-        got = {}
-        for command in COMMANDS:
-            out = tmp_path / command
-            assert main([command, "--out", str(out), "--N", "4096", "--seed", "7"]) == 0
-            for f in out.iterdir():
-                if f.name != "report.json":
-                    got[(command, f.name)] = hashlib.sha256(f.read_bytes()).hexdigest()
-        assert got == GOLDEN_SHA256
+        got = output_digests(tmp_path, COMMANDS, ["--N", "4096", "--seed", "7"])
+        assert_digests(got, GOLDEN_SHA256)
+
+    def test_periodic_complex_weight_outputs_match_recorded_digest(self, tmp_path):
+        cfg = tmp_path / "periodic.json"
+        cfg.write_text(json.dumps(PERIODIC_CONFIG))
+        commands = [c for c in COMMANDS if c != "oracle-check"]
+        got = output_digests(tmp_path, commands, ["--config", str(cfg), "--seed", "7"])
+        assert_digests(got, PERIODIC_SHA256)
+
+    def test_failure_names_the_changed_files(self):
+        want = {("a", "x.csv"): "0", ("b", "y.csv"): "1"}
+        with pytest.raises(AssertionError, match=r"\('b', 'y.csv'\)") as info:
+            assert_digests({("a", "x.csv"): "0", ("b", "y.csv"): "2"}, want)
+        assert "x.csv" not in str(info.value)

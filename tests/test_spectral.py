@@ -1,4 +1,4 @@
-"""Bases, coefficient vectors, norms, grid synthesis/projection, JSON I/O."""
+"""Bases, coefficient vectors, norms, grid synthesis/projection, JSON and CSV I/O."""
 
 import json
 
@@ -22,8 +22,10 @@ from schrodavg import (
     synthesize_on_grid,
     uniform_grid,
     unit_floor_shift,
+    zeta_to_csv,
 )
-from schrodavg.spectral import _mode_matrix
+from schrodavg.averaging import ZetaFactors
+from schrodavg.spectral import _CSV_BLOCK_ROWS, _mode_matrix, _write_csv
 
 
 class TestBasisConstruction:
@@ -274,3 +276,76 @@ class TestJsonSchema:
             coefficients_from_json(
                 {"kind": "custom", "L": 1.0, "N": 1, "cA": 1.0, "coeffs": [[1, 0]]}
             )
+
+
+def _rows_one_fstring_at_a_time(header, columns):
+    """The per-row f-string code the CSV writers used before the shared writer."""
+    lines = [header]
+    for row in zip(*columns):
+        lines.append(",".join(
+            x if isinstance(x, str) else f"{x}" if isinstance(x, (int, np.integer))
+            else f"{x:.17g}"
+            for x in row
+        ))
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_text(got, want):
+    # name the first differing line: pytest's own diff of two multi-megabyte
+    # strings takes minutes
+    if got != want:
+        g, w = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        i = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+        pytest.fail(f"line {i} differs: {g[i:i + 1]!r} != {w[i:i + 1]!r}")
+
+
+class TestCsvWriter:
+    SPECIAL = [
+        np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+        2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+        1e-5, 9.9999999999999995e-5, 1e-4, 1e16, 1e17, -1e17, 0.1, 1.0 / 3.0,
+    ]
+
+    def test_bytes_match_per_row_fstrings(self, tmp_path):
+        rng = np.random.default_rng(20)
+        n = 50_000 + len(self.SPECIAL)  # 10^5 random doubles over two columns
+        assert n % _CSV_BLOCK_ROWS != 0
+        bits = rng.integers(0, 2**64, n - len(self.SPECIAL), dtype=np.uint64, endpoint=False)
+        raw = np.concatenate([self.SPECIAL, bits.view(np.float64)])  # every exponent
+        scaled = np.concatenate([
+            self.SPECIAL[::-1], rng.standard_normal(n - len(self.SPECIAL))
+            * 10.0 ** rng.uniform(-20.0, 20.0, n - len(self.SPECIAL)),
+        ])
+        ks = np.arange(1, n + 1)
+        labels = [f"{t:.17g}" for t in rng.uniform(0.0, 2.0, n)]
+        columns = [labels, ks, raw, scaled]
+        path = tmp_path / "w.csv"
+        _write_csv(path, "t,k,a,b", columns)
+        assert_same_text(path.read_text(), _rows_one_fstring_at_a_time("t,k,a,b", columns))
+
+    @pytest.mark.parametrize("n", [0, 1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                                   _CSV_BLOCK_ROWS + 1])
+    def test_block_edges(self, tmp_path, n):
+        vals = np.linspace(-1.0, 1.0, n)
+        path = tmp_path / "w.csv"
+        _write_csv(path, "k,x", [range(1, n + 1), vals])
+        want = _rows_one_fstring_at_a_time("k,x", [range(1, n + 1), vals])
+        assert_same_text(path.read_text(), want)
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(InvalidArgumentError):
+            _write_csv(tmp_path / "w.csv", "a,b", [[1.0, 2.0], [1.0]])
+
+    def test_zeta_abs_column_is_scalar_abs_per_factor(self, tmp_path):
+        # numpy's vectorised abs differs from its scalar abs in the last bit
+        # on about a third of random complex doubles; the column keeps the
+        # scalar one it has always written
+        rng = np.random.default_rng(21)
+        n = 20_000
+        z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-5, 5, n)
+        basis = make_custom_basis(np.linspace(0.0, 1.0, n), 1.0, 1.0)
+        path = tmp_path / "zeta.csv"
+        zeta_to_csv(ZetaFactors(z, basis), path)
+        got = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
+        assert got == [f"{abs(v):.17g}" for v in z]
+        assert got != [f"{v:.17g}" for v in np.abs(z)]  # the check can tell them apart
