@@ -22,6 +22,7 @@ import numpy as np
 
 from .averaging import (
     AveragingParams,
+    ZetaFactors,
     apply_time_average,
     forward_smoothing_constant,
     zeta_factors,
@@ -33,7 +34,6 @@ from .fd_oracle import FdConfig, oracle_mu_coeffs
 from .recover import (
     conditioning_report,
     recover_initial,
-    reconstruct_solution,
     report_summary,
     report_to_csv,
     stability_bound,
@@ -261,10 +261,10 @@ def _run_recover(cfg, out, report):
     mu = _initial_state(cfg, basis, default_decay=3.0)
     mu_used = _perturbed(mu, cfg.noise, cfg.seed + 1)
     xi_hat = recover_initial(mu_used, params)
-    times = np.linspace(0.0, cfg.T, cfg.trajectory_steps + 1)
-    traj = reconstruct_solution(mu_used, params, times)
+    traj = sample_trajectory(xi_hat, cfg.T, cfg.trajectory_steps)
     trajectory_to_csv(traj, out / "trajectory.csv")
-    zeta_to_csv(zeta_factors(basis, params), out / "zeta.csv")
+    rep = conditioning_report(basis, params)
+    zeta_to_csv(ZetaFactors(rep.zeta, basis), out / "zeta.csv")
     save_coefficients(out / "xi.json", xi_hat)
     report.outputs += [
         str(out / "trajectory.csv"),
@@ -272,7 +272,6 @@ def _run_recover(cfg, out, report):
         str(out / "zeta.csv"),
         str(out / "xi.json"),
     ]
-    rep = conditioning_report(basis, params)
     report.well_posed = rep.well_posed
     report.conditioning = report_summary(rep)
     report.norms = {

@@ -19,7 +19,7 @@ import numpy as np
 
 from .averaging import AveragingParams, _cexpm1, _zeta_values
 from .errors import DegenerateModeError, IllPosedError
-from .evolve import Trajectory, propagate
+from .evolve import Trajectory, _check_times, _evolve
 from .spectral import ModeCoefficients, SpectralBasis, _write_csv, make_custom_basis, unit_floor_shift
 
 # relative to the largest factor magnitude (floored at 1); below it, division
@@ -65,47 +65,32 @@ def reconstruct_solution(
     / (exp((r - i lambda_k) T) - 1); the t = 0 slice equals recover_initial.
     """
     xi = recover_initial(mu, params, allow_ill_posed=allow_ill_posed)
-    t = np.asarray(times, dtype=float)
-    return Trajectory(t, tuple(propagate(xi, tj) for tj in t))
+    t = _check_times(times)
+    return Trajectory(t, _evolve(xi.values, mu.basis.lambdas, t), mu.basis)
 
 
-@dataclass(frozen=True, eq=False)
-class ShiftedProblem:
-    """Spectral translation making every eigenvalue at least 1.
+def _recover_shifted(mu: ModeCoefficients, params: AveragingParams, allow_ill_posed: bool):
+    """Initial state of the problem translated so every eigenvalue is >= 1.
 
-    q = max(0, 1 - min lambda), r_bar = r + i q, shifted eigenvalues
-    lambda_k + q.  Solving with (r_bar, lambda + q) and mapping
-    u(t) = exp(i q t) u_bar(t) reproduces the original problem.
+    With q = max(0, 1 - min lambda), solving with (r + i q, lambda + q) and
+    mapping u(t) = exp(i q t) u_bar(t) reproduces the original problem.
+    Returns q and u_bar(0) on the custom basis of the eigenvalues lambda + q.
     """
-
-    q: float
-    r_bar: complex
-    shifted_lambdas: np.ndarray
-
-    def __post_init__(self):
-        lam = np.array(self.shifted_lambdas, dtype=float)
-        lam.setflags(write=False)
-        object.__setattr__(self, "shifted_lambdas", lam)
-
-
-def shift_problem(basis: SpectralBasis, params: AveragingParams) -> ShiftedProblem:
-    q = unit_floor_shift(basis.lambdas)
-    return ShiftedProblem(q, params.r + 1j * q, basis.lambdas + q)
-
-
-def _shifted_setup(basis, params):
-    sp = shift_problem(basis, params)
-    shifted_basis = make_custom_basis(sp.shifted_lambdas, basis.domain_length, 0.0)
-    return sp, shifted_basis, AveragingParams(sp.r_bar, params.T)
+    q = unit_floor_shift(mu.basis.lambdas)
+    shifted_basis = make_custom_basis(mu.basis.lambdas + q, mu.basis.domain_length, 0.0)
+    xi_bar = recover_initial(
+        ModeCoefficients(mu.values, shifted_basis),
+        AveragingParams(params.r + 1j * q, params.T),
+        allow_ill_posed=allow_ill_posed,
+    )
+    return q, xi_bar
 
 
 def recover_via_shift(
     mu: ModeCoefficients, params: AveragingParams, *, allow_ill_posed: bool = False
 ) -> ModeCoefficients:
     """Alternate inversion route through the shifted problem; u(0) = u_bar(0)."""
-    sp, shifted_basis, shifted_params = _shifted_setup(mu.basis, params)
-    mu_bar = ModeCoefficients(mu.values, shifted_basis)
-    xi_bar = recover_initial(mu_bar, shifted_params, allow_ill_posed=allow_ill_posed)
+    _, xi_bar = _recover_shifted(mu, params, allow_ill_posed)
     return ModeCoefficients(xi_bar.values, mu.basis)
 
 
@@ -117,15 +102,10 @@ def reconstruct_via_shift(
     allow_ill_posed: bool = False,
 ) -> Trajectory:
     """Trajectory built on the shifted basis, mapped back by exp(i q t)."""
-    sp, shifted_basis, shifted_params = _shifted_setup(mu.basis, params)
-    mu_bar = ModeCoefficients(mu.values, shifted_basis)
-    xi_bar = recover_initial(mu_bar, shifted_params, allow_ill_posed=allow_ill_posed)
-    t = np.asarray(times, dtype=float)
-    states = tuple(
-        ModeCoefficients(np.exp(1j * sp.q * tj) * propagate(xi_bar, tj).values, mu.basis)
-        for tj in t
-    )
-    return Trajectory(t, states)
+    q, xi_bar = _recover_shifted(mu, params, allow_ill_posed)
+    t = _check_times(times)
+    rows = _evolve(xi_bar.values, xi_bar.basis.lambdas, t)
+    return Trajectory(t, np.exp(1j * q * t)[:, None] * rows, mu.basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,20 +130,6 @@ class ConditioningReport:
     well_posed: bool
     stability_bound: float
     q: float
-
-    @property
-    def per_mode(self) -> list[dict]:
-        return [
-            {
-                "k": k,
-                "lambda": float(self.basis.lambdas[k - 1]),
-                "zeta": complex(self.zeta[k - 1]),
-                "abs_zeta": float(self.abs_zeta[k - 1]),
-                "inv_zeta_bound": float(self.inv_zeta_bound[k - 1]),
-                "psi": float(self.psi[k - 1]),
-            }
-            for k in range(1, self.basis.mode_count + 1)
-        ]
 
 
 def _abs_expm1(x: float) -> float:
@@ -224,11 +190,7 @@ def potential_shift_solution(
     exp(r t).
     """
     u = reconstruct_solution(mu, params, times, allow_ill_posed=allow_ill_posed)
-    states = tuple(
-        ModeCoefficients(np.exp(params.r * t) * s.values, mu.basis)
-        for t, s in zip(u.times, u.states)
-    )
-    return Trajectory(u.times, states)
+    return Trajectory(u.times, np.exp(params.r * u.times)[:, None] * u.states, mu.basis)
 
 
 def report_to_csv(report: ConditioningReport, path) -> None:

@@ -227,10 +227,13 @@ def _norm_weights(basis: SpectralBasis, order: int) -> np.ndarray:
     return w
 
 
+def _weighted_norm(values: np.ndarray, w: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(w * (values.real**2 + values.imag**2))))
+
+
 def sobolev_norm(c: ModeCoefficients, order: int) -> float:
     """Weighted l2 norm of order 0, 1 or 2 (weights 1, lam+c_A, lam^2+c_A)."""
-    w = _norm_weights(c.basis, order)
-    return float(np.sqrt(np.sum(w * (c.values.real**2 + c.values.imag**2))))
+    return _weighted_norm(c.values, _norm_weights(c.basis, order))
 
 
 def _mode_matrix(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:

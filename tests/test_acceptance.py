@@ -197,7 +197,7 @@ def test_08_potential_shift_residual_order():
     def residual(points):
         times = np.linspace(0.0, 1.0, points)
         dt = times[1] - times[0]
-        w = np.array([s.values for s in potential_shift_solution(mu, params, times).states])
+        w = potential_shift_solution(mu, params, times).states
         dwdt = (w[2:] - w[:-2]) / (2.0 * dt)
         mid = w[1:-1]
         res = -1j * dwdt + lam * mid + 1j * params.r * mid

@@ -91,13 +91,13 @@ class TestSampleTrajectory:
         xi = power_law_state(b, 7, 2.0)
         traj = sample_trajectory(xi, 2.0, 1)
         assert np.array_equal(traj.times, [0.0, 2.0])
-        assert np.array_equal(traj.states[0].values, xi.values)
-        assert np.array_equal(traj.states[1].values, propagate(xi, 2.0).values)
+        assert np.array_equal(traj.states[0], xi.values)
+        assert np.array_equal(traj.states[1], propagate(xi, 2.0).values)
 
     def test_zero_state_stays_zero(self):
         b = make_dirichlet_basis(1.0, 4, 0.0)
         traj = sample_trajectory(ModeCoefficients(np.zeros(4), b), 1.0, 8)
-        assert all(np.all(s.values == 0) for s in traj.states)
+        assert np.all(traj.states == 0)
 
     def test_every_slice_conserves_h_norm(self):
         b = make_dirichlet_basis(1.0, 10, 0.0)
@@ -105,7 +105,7 @@ class TestSampleTrajectory:
         traj = sample_trajectory(xi, 3.0, 16)
         ref = sobolev_norm(xi, 0)
         for s in traj.states:
-            assert sobolev_norm(s, 0) == pytest.approx(ref, rel=1e-12)
+            assert sobolev_norm(ModeCoefficients(s, b), 0) == pytest.approx(ref, rel=1e-12)
 
     def test_bad_horizon_rejected(self):
         b = make_dirichlet_basis(1.0, 2, 0.0)
@@ -148,24 +148,35 @@ class TestSupNorm:
 class TestTrajectoryType:
     def test_times_must_ascend(self):
         b = make_dirichlet_basis(1.0, 2, 0.0)
-        s = ModeCoefficients([1.0, 0.0], b)
         with pytest.raises(InvalidArgumentError):
-            Trajectory(np.array([0.0, -1.0]), (s, s))
+            Trajectory(np.array([0.0, -1.0]), np.ones((2, 2)), b)
 
     def test_state_count_must_match(self):
         b = make_dirichlet_basis(1.0, 2, 0.0)
-        s = ModeCoefficients([1.0, 0.0], b)
         with pytest.raises(InvalidArgumentError):
-            Trajectory(np.array([0.0, 1.0]), (s,))
+            Trajectory(np.array([0.0, 1.0]), np.ones((1, 2)), b)
 
-    def test_states_must_share_basis(self):
-        b1 = make_dirichlet_basis(1.0, 2, 0.0)
-        b2 = make_dirichlet_basis(1.0, 2, 0.0)
+    def test_mode_count_must_match(self):
+        b = make_dirichlet_basis(1.0, 2, 0.0)
         with pytest.raises(InvalidArgumentError):
-            Trajectory(
-                np.array([0.0, 1.0]),
-                (ModeCoefficients([1.0, 0.0], b1), ModeCoefficients([1.0, 0.0], b2)),
-            )
+            Trajectory(np.array([0.0, 1.0]), np.ones((2, 3)), b)
+        with pytest.raises(InvalidArgumentError):
+            Trajectory(np.array([0.0, 1.0]), np.ones(4), b)
+
+    def test_nonfinite_row_rejected(self):
+        b = make_dirichlet_basis(1.0, 2, 0.0)
+        for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+            states = np.ones((3, 2), dtype=complex)
+            states[2, 1] = bad
+            with pytest.raises(InvalidArgumentError):
+                Trajectory(np.array([0.0, 0.5, 1.0]), states, b)
+
+    def test_states_are_read_only(self):
+        b = make_dirichlet_basis(1.0, 2, 0.0)
+        traj = Trajectory(np.array([0.0, 1.0]), np.ones((2, 2)), b)
+        assert traj.states.dtype == complex
+        with pytest.raises(ValueError):
+            traj.states[0, 0] = 2.0
 
 
 class TestCsvExport:
@@ -179,6 +190,6 @@ class TestCsvExport:
         assert len(lines) == 1 + 3 * 3  # header + 3 times x 3 modes
         t0, k0, re0, im0 = lines[1].split(",")
         assert (t0, k0) == ("0", "1")
-        assert complex(float(re0), float(im0)) == traj.states[0].values[0]
+        assert complex(float(re0), float(im0)) == traj.states[0, 0]
         meta = json.loads((tmp_path / "trajectory.meta.json").read_text())
         assert meta == {"kind": "dirichlet_interval", "L": 1.0, "N": 3, "cA": 0.0}
