@@ -49,20 +49,27 @@ class Trajectory:
         object.__setattr__(self, "states", v)
 
 
-def _evolve(values: np.ndarray, lambdas: np.ndarray, times) -> np.ndarray:
-    """Rows values * exp(-i lambdas t_j), one per time, shape (len(times), N).
+def _row_blocks(n_rows: int, n: int):
+    """Blocks of B = max(1, 16383 // n) rows, as slices, or as row numbers at
+    B = 1 so that every row stays 1-d.  B * n < 16384 complex values (256 KiB)
+    keeps each temporary below numpy's elision size: an elided values * exp
+    computes exp * values, which differs in last bits."""
+    b = max(1, 16383 // n)
+    return range(n_rows) if b == 1 else [slice(i, i + b) for i in range(0, n_rows, b)]
 
-    Row by row: one outer-product phase holds several (n_times, N) temporaries,
-    and from N = 16384 numpy's temporary elision would compute exp * values,
-    which differs from values * exp in last bits.
-    """
-    out = np.empty((len(times), values.size), dtype=complex)
-    for j, t in enumerate(times):
-        phase = lambdas * t
+
+def _evolve(values: np.ndarray, lambdas: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Rows values * exp(-i lambdas t_j), one per time, shape (len(times), N),
+    filled a block of _row_blocks at a time, bitwise equal to a row loop.  At
+    B = 1 (N >= 8192) each row stays 1-d: numpy elides it from N = 16384,
+    but not a (1, N) block, whose bits would differ."""
+    out = np.empty((times.size, values.size), dtype=complex)
+    for k in _row_blocks(times.size, values.size):
+        phase = lambdas * times[k, None]
         big = np.abs(phase) > _PHASE_REDUCE
         if np.any(big):
             phase = np.where(big, np.remainder(phase, 2.0 * np.pi), phase)
-        out[j] = values * np.exp(-1j * phase)
+        out[k] = values * np.exp(-1j * phase)
     return out
 
 
@@ -71,7 +78,7 @@ def propagate(xi: ModeCoefficients, t: float) -> ModeCoefficients:
     t = float(t)
     if not np.isfinite(t):
         raise InvalidArgumentError("time must be finite")
-    return ModeCoefficients(_evolve(xi.values, xi.basis.lambdas, (t,))[0], xi.basis)
+    return ModeCoefficients(_evolve(xi.values, xi.basis.lambdas, np.array([t]))[0], xi.basis)
 
 
 def sample_trajectory(xi: ModeCoefficients, T: float, steps: int) -> Trajectory:
@@ -89,8 +96,9 @@ def trajectory_sup_norm(traj: Trajectory, order: int) -> float:
     if order not in (0, 1):
         raise InvalidArgumentError(f"sup norm supports orders 0 and 1, got {order!r}")
     w = _norm_weights(traj.basis, order)
-    # row by row: one (n_times, N) weighted sum would hold several such temporaries
-    return max(_weighted_norm(v, w) for v in traj.states)
+    # a block of _row_blocks at a time: each row's sum is bitwise a 1-d row's
+    s = traj.states
+    return max(float(_weighted_norm(s[k], w, order).max()) for k in _row_blocks(*s.shape))
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

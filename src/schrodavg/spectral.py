@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UnsupportedOperationError
+from .errors import InvalidArgumentError, NumericError, UnsupportedOperationError
 
 DIRICHLET = "dirichlet_interval"
 PERIODIC = "periodic_interval"
@@ -227,13 +227,26 @@ def _norm_weights(basis: SpectralBasis, order: int) -> np.ndarray:
     return w
 
 
-def _weighted_norm(values: np.ndarray, w: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(w * (values.real**2 + values.imag**2))))
+def _weighted_norm(values: np.ndarray, w: np.ndarray, order: int) -> np.ndarray:
+    """sqrt(sum w |c|^2) over the last axis.  Where the plain sum overflows it
+    is redone on c / max|c|, so finite norms keep their bits; a norm still not
+    finite (the weights overflow, or the norm itself) raises NumericError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.sqrt((w * (values.real**2 + values.imag**2)).sum(-1))
+        if np.isfinite(norm).all():
+            return norm
+        m = np.abs(values).max(axis=-1, keepdims=True)
+        c = values / m
+        scaled = m[..., 0] * np.sqrt((w * (c.real**2 + c.imag**2)).sum(-1))
+        norm = np.where(np.isfinite(norm), norm, scaled)
+    if not np.isfinite(norm).all():
+        raise NumericError(f"order-{order} norm is not finite: its weights or its value overflow")
+    return norm
 
 
 def sobolev_norm(c: ModeCoefficients, order: int) -> float:
     """Weighted l2 norm of order 0, 1 or 2 (weights 1, lam+c_A, lam^2+c_A)."""
-    return _weighted_norm(c.values, _norm_weights(c.basis, order))
+    return float(_weighted_norm(c.values, _norm_weights(c.basis, order), order))
 
 
 def _mode_matrix(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:

@@ -86,6 +86,24 @@ class TestCommands:
         report = json.loads((out / "report.json").read_text())
         assert report["errors"]["monotone_error_h1"] is True
 
+    def test_sweep_evaluates_factors_once_per_point(self, tmp_path, monkeypatch):
+        calls = []
+        real = schrodavg.recover._zeta_values
+        monkeypatch.setattr(schrodavg.recover, "_zeta_values",
+                            lambda *a: calls.append(a) or real(*a))
+        assert main(["sweep", "--out", str(tmp_path / "sw"), "--noise", "1e-6", "--N", "16"]) == 0
+        assert len(calls) == 5  # the five default Re r points
+
+    def test_sweep_noise_bytes_pinned(self, tmp_path):
+        # sha256 of errors.csv recorded when each point inverted mu and
+        # mu + delta separately; dividing delta by zeta moves these bits
+        # (the golden digests run without noise)
+        out = tmp_path / "sw"
+        assert main(["sweep", "--out", str(out), "--noise", "1e-3", "--N", "64", "--seed", "3",
+                     "--r-im", "0.7"]) == 0
+        assert hashlib.sha256((out / "errors.csv").read_bytes()).hexdigest() == (
+            "da7e9c56d1d41d0d1d38fc2a1b204bf846082c7122b1315a4cece1c10ebf415b")
+
 
 class TestExitCodes:
     def test_conditioning_flags_ill_posed_after_writing(self, tmp_path, capsys):

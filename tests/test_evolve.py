@@ -1,5 +1,6 @@
 """Phase evolution, trajectory sampling, sup norms, CSV export."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,16 +8,20 @@ import pytest
 
 from conftest import power_law_state
 from schrodavg import (
+    AveragingParams,
     InvalidArgumentError,
     ModeCoefficients,
     Trajectory,
     make_dirichlet_basis,
+    make_periodic_basis,
     propagate,
+    reconstruct_solution,
     sample_trajectory,
     sobolev_norm,
     trajectory_sup_norm,
     trajectory_to_csv,
 )
+from schrodavg.evolve import _evolve
 
 
 class TestPropagate:
@@ -143,6 +148,58 @@ class TestSupNorm:
         traj = sample_trajectory(ModeCoefficients([1.0, 0.0], b), 1.0, 2)
         with pytest.raises(InvalidArgumentError):
             trajectory_sup_norm(traj, 2)
+
+
+def row_loop(values, lambdas, times):
+    """Reference: one row per time, the phase folded mod 2 pi above 1e8."""
+    out = np.empty((len(times), values.size), dtype=complex)
+    for j, t in enumerate(times):
+        phase = lambdas * t
+        big = np.abs(phase) > 1.0e8
+        if np.any(big):
+            phase = np.where(big, np.remainder(phase, 2.0 * np.pi), phase)
+        out[j] = values * np.exp(-1j * phase)
+    return out
+
+
+def row_sup_norm(states, w):
+    return max(float(np.sqrt(np.sum(w * (v.real**2 + v.imag**2)))) for v in states)
+
+
+class TestBlockKernel:
+    """Trajectories are filled and sup norms taken in blocks of
+    max(1, 16383 // N) rows; every bit must match a row-by-row loop."""
+
+    @pytest.mark.parametrize("N", [1, 63, 64, 1000, 5461, 5462, 8191, 8192, 16383, 16384])
+    def test_blocks_match_row_loop(self, N):
+        rng = np.random.default_rng(N)
+        B = max(1, 16383 // N)
+        for make in (make_dirichlet_basis, make_periodic_basis):
+            b = make(1.0, N)
+            values = rng.normal(size=N) + 1j * rng.normal(size=N)
+            values *= 10.0 ** rng.uniform(-5.0, 5.0, N)
+            # one full block and a partial one, then a horizon whose later
+            # rows fold the phase (lambda t > 1e8)
+            for n_times, T in ((B + int(rng.integers(1, 40)), 2.0), (int(rng.integers(2, 12)), 3.0e7)):
+                times = np.sort(rng.uniform(0.0, T, n_times))
+                ref = row_loop(values, b.lambdas, times)
+                got = _evolve(values, b.lambdas, times)
+                assert np.array_equal(got, ref), (make.__name__, n_times, T)
+                traj = Trajectory(times, got, b)
+                for order, w in ((0, np.ones(N)), (1, b.lambdas + b.c_A)):
+                    assert trajectory_sup_norm(traj, order) == row_sup_norm(ref, w)
+
+    # sha256 of the (33, N) states, recorded on the row-by-row kernel: N = 64
+    # is one block of 33 rows, N = 1000 blocks of 16 rows ending in one row
+    @pytest.mark.parametrize("N, seed, digest", [
+        (64, 13, "29fa5cd15b0779db451fe19c913e79651ffe84a6bd4dde9b53b7141c3ce72ffc"),
+        (1000, 14, "fbcfcf5264e3112e8d1ac644b33e96197963f858ecdadde52feae40ea622b671"),
+    ])
+    def test_block_trajectory_bytes_pinned(self, N, seed, digest):
+        b = make_dirichlet_basis(1.0, N)
+        mu = power_law_state(b, seed, 3.0)
+        traj = reconstruct_solution(mu, AveragingParams(0.5 + 0.25j, 1.0), np.linspace(0.0, 1.0, 33))
+        assert hashlib.sha256(traj.states.tobytes()).hexdigest() == digest
 
 
 class TestTrajectoryType:

@@ -9,6 +9,7 @@ from scipy.integrate import simpson
 from schrodavg import (
     InvalidArgumentError,
     ModeCoefficients,
+    NumericError,
     UnsupportedOperationError,
     coefficients_from_json,
     coefficients_to_json,
@@ -17,9 +18,11 @@ from schrodavg import (
     make_dirichlet_basis,
     make_periodic_basis,
     project_from_grid,
+    sample_trajectory,
     save_coefficients,
     sobolev_norm,
     synthesize_on_grid,
+    trajectory_sup_norm,
     uniform_grid,
     unit_floor_shift,
     zeta_to_csv,
@@ -128,6 +131,26 @@ class TestNorms:
         c = ModeCoefficients([1.0, 0.0], b)
         with pytest.raises(InvalidArgumentError):
             sobolev_norm(c, 3)
+
+    def test_overflowing_squares_rescaled(self):
+        # |1e200|^2 overflows; the norm itself is finite
+        b = make_dirichlet_basis(1.0, 2)
+        assert sobolev_norm(ModeCoefficients([1e200, 1.0], b), 0) == 1e200
+        assert sobolev_norm(ModeCoefficients([3e200, 4e200j], b), 0) == pytest.approx(5e200, rel=1e-15)
+
+    def test_sup_norm_rescaled_too(self):
+        b = make_dirichlet_basis(1.0, 2)
+        traj = sample_trajectory(ModeCoefficients([1e200, 1.0], b), 1.0, 4)
+        assert trajectory_sup_norm(traj, 0) == pytest.approx(1e200, rel=1e-15)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("values", [[1.0, 1.0], [1.0, 0.0]])
+    def test_overflowing_weight_named(self, values):
+        # lambda^2 = 1e600 overflows the order-2 weight (inf, or nan on a zero)
+        c = ModeCoefficients(values, make_custom_basis([1.0, 1e300]))
+        assert sobolev_norm(c, 1) > 0
+        with pytest.raises(NumericError, match="order-2"):
+            sobolev_norm(c, 2)
 
 
 class TestGridTransforms:
