@@ -13,7 +13,6 @@ from .averaging import (
     forward_smoothing_constant,
     zeta_factor,
     zeta_factors,
-    zeta_to_csv,
 )
 from .errors import (
     DegenerateModeError,
@@ -21,14 +20,12 @@ from .errors import (
     InvalidArgumentError,
     NumericError,
     SchrodavgError,
-    UnsupportedOperationError,
 )
 from .evolve import (
     Trajectory,
     propagate,
     sample_trajectory,
     trajectory_sup_norm,
-    trajectory_to_csv,
 )
 from .fd_oracle import FdConfig, GridState, cn_step, oracle_mu_coeffs, oracle_time_average
 from .recover import (
@@ -39,8 +36,6 @@ from .recover import (
     reconstruct_via_shift,
     recover_initial,
     recover_via_shift,
-    report_summary,
-    report_to_csv,
     stability_bound,
 )
 from .spectral import (
@@ -50,8 +45,6 @@ from .spectral import (
     ModeCoefficients,
     SpatialGrid,
     SpectralBasis,
-    coefficients_from_json,
-    coefficients_to_json,
     load_coefficients,
     make_custom_basis,
     make_dirichlet_basis,
@@ -83,12 +76,9 @@ __all__ = [
     "SpatialGrid",
     "SpectralBasis",
     "Trajectory",
-    "UnsupportedOperationError",
     "ZetaFactors",
     "apply_time_average",
     "cn_step",
-    "coefficients_from_json",
-    "coefficients_to_json",
     "conditioning_report",
     "forward_smoothing_constant",
     "load_coefficients",
@@ -104,18 +94,14 @@ __all__ = [
     "reconstruct_via_shift",
     "recover_initial",
     "recover_via_shift",
-    "report_summary",
-    "report_to_csv",
     "sample_trajectory",
     "save_coefficients",
     "sobolev_norm",
     "stability_bound",
     "synthesize_on_grid",
     "trajectory_sup_norm",
-    "trajectory_to_csv",
     "uniform_grid",
     "unit_floor_shift",
     "zeta_factor",
     "zeta_factors",
-    "zeta_to_csv",
 ]

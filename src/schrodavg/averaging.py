@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .spectral import ModeCoefficients, SpectralBasis, _write_csv
+from .spectral import ModeCoefficients, SpectralBasis, _norm_weights, _write_csv
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,9 +98,8 @@ def forward_smoothing_constant(basis: SpectralBasis, params: AveragingParams) ->
     mode at the maximizing k attains equality, so the bound is tight on the
     truncated basis.
     """
-    lam = basis.lambdas
-    z = np.abs(_zeta_values(params.r, params.T, lam))
-    return float(np.max(np.sqrt((lam**2 + basis.c_A) / (lam + basis.c_A)) * z))
+    z = np.abs(_zeta_values(params.r, params.T, basis.lambdas))
+    return float(np.max(np.sqrt(_norm_weights(basis, 2) / _norm_weights(basis, 1)) * z))
 
 
 def zeta_to_csv(factors: ZetaFactors, path) -> None:

@@ -1,12 +1,13 @@
 """Experiment runner.
 
 Subcommands: forward, average, recover, roundtrip, conditioning, oracle-check,
-sweep.  Configuration comes from an optional JSON file plus flag overrides;
-outputs are CSV files with 17-significant-digit formatting (byte-identical
-for identical configs) and a report.json per run.
+sweep.  Configuration comes from an optional JSON file plus flag overrides,
+both read through one table, the fields of ExperimentConfig; outputs are CSV
+files with 17-significant-digit formatting (byte-identical for identical
+configs) and a report.json per run.
 
 Exit codes: 0 success, 1 configuration error, 2 ill-posed parameters,
-3 degenerate modes.
+3 degenerate modes, 4 numeric overflow.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .averaging import (
     zeta_factors,
     zeta_to_csv,
 )
-from .errors import DegenerateModeError, IllPosedError, InvalidArgumentError, SchrodavgError
+from .errors import DegenerateModeError, IllPosedError, InvalidArgumentError, NumericError, SchrodavgError
 from .evolve import sample_trajectory, trajectory_sup_norm, trajectory_to_csv
 from .fd_oracle import FdConfig, oracle_mu_coeffs
 from .recover import (
@@ -42,109 +43,93 @@ from .recover import (
 from .spectral import (
     CUSTOM,
     DIRICHLET,
-    PERIODIC,
     ModeCoefficients,
+    _complex_pairs,
+    _integer,
     _write_csv,
-    make_custom_basis,
-    make_dirichlet_basis,
-    make_periodic_basis,
+    basis_from_json,
     save_coefficients,
     sobolev_norm,
 )
 
-COMMANDS = ("forward", "average", "recover", "roundtrip", "conditioning", "oracle-check", "sweep")
-SWEEP_DEFAULT = (0.05, 0.1, 0.2, 0.5, 1.0)
+
+def _or_none(cast):
+    return lambda x: None if x is None else cast(x)
+
+
+def _complex_pair(x) -> complex:
+    re, im = x
+    return complex(float(re), float(im))
+
+
+def _setting(default, path: str, cast, *flags: str):
+    """One row of the config table: the field's default, its dotted path in
+    the JSON config, the cast of the JSON value, and the flags that override it."""
+    return field(default=default, metadata={"path": path, "cast": cast, "flags": flags})
 
 
 @dataclass
 class ExperimentConfig:
-    kind: str = DIRICHLET
-    L: float = 1.0
-    N: int = 64
-    c_A: float | None = None
-    lambdas: list | None = None
-    r: complex = complex(1.0, 0.0)
-    T: float = 1.0
-    seed: int = 1234
-    decay: float | None = None  # default 2 for state draws, 3 for data draws
-    noise: float = 0.0
-    coeffs: np.ndarray | None = None
-    oracle_M: int = 256
-    oracle_dt: float = 1.0e-3
-    oracle_modes: int = 2
-    trajectory_steps: int = 32
-    sweep_re: tuple = SWEEP_DEFAULT
-    out: Path = Path("out")
+    """Every setting of a run; each field is one row of the config table that
+    load_config and build_parser read.  Fields with flags come first, in the
+    flags' order; --r-re and --r-im set the real and imaginary part of r."""
+
+    out: Path = _setting(Path("out"), "out", Path, "--out")
+    r: complex = _setting(complex(1.0, 0.0), "r", _complex_pair, "--r-re", "--r-im")
+    T: float = _setting(1.0, "T", float, "--T")
+    # None: 64 modes, or one per eigenvalue of a custom basis
+    N: int | None = _setting(None, "basis.N", _integer, "--N")
+    seed: int = _setting(1234, "seed", _integer, "--seed")
+    noise: float = _setting(0.0, "noise", float, "--noise")
+    kind: str = _setting(DIRICHLET, "basis.kind", str)
+    L: float = _setting(1.0, "basis.L", float)
+    c_A: float | None = _setting(None, "basis.cA", _or_none(float))
+    lambdas: list | None = _setting(None, "basis.lambdas", _or_none(lambda x: [float(v) for v in x]))
+    # None: 2 for state draws, 3 for data draws
+    decay: float | None = _setting(None, "decay", float)
+    coeffs: np.ndarray | None = _setting(None, "coeffs", _complex_pairs)
+    oracle_M: int = _setting(256, "oracle.M", _integer)
+    oracle_dt: float = _setting(1.0e-3, "oracle.dt", float)
+    oracle_modes: int = _setting(2, "oracle.modes", _integer)
+    trajectory_steps: int = _setting(32, "trajectory_steps", _integer)
+    sweep_re: tuple = _setting((0.05, 0.1, 0.2, 0.5, 1.0), "sweep_r_re",
+                               lambda x: tuple(float(v) for v in x))
 
 
-@dataclass
-class RunReport:
-    command: str
-    well_posed: bool | None = None
-    norms: dict = field(default_factory=dict)
-    errors: dict = field(default_factory=dict)
-    conditioning: dict | None = None
-    timings: dict = field(default_factory=dict)
-    outputs: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "well_posed": self.well_posed,
-            "norms": self.norms,
-            "errors": self.errors,
-            "conditioning": self.conditioning,
-            "timings": self.timings,
-            "outputs": self.outputs,
-        }
+# argparse type of a flag whose field has this cast; any other cast is its own
+_FLAG_TYPES = {_integer: int, _complex_pair: float}
 
 
-def load_config(path=None) -> ExperimentConfig:
+def load_config(path=None, args=None) -> ExperimentConfig:
+    """The JSON config at ``path`` (if any) with the flags that ``args`` (from
+    build_parser) gives on top, each read through its ExperimentConfig row."""
+    obj = {}
+    if path is not None:
+        try:
+            obj = json.loads(Path(path).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise InvalidArgumentError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise InvalidArgumentError("config must be a JSON object")
     cfg = ExperimentConfig()
-    if path is None:
-        return cfg
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidArgumentError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise InvalidArgumentError("config must be a JSON object")
-    try:
-        basis = obj.get("basis", {})
-        if basis:
-            cfg.kind = basis.get("kind", cfg.kind)
-            cfg.L = float(basis.get("L", cfg.L))
-            cfg.N = int(basis.get("N", cfg.N))
-            if basis.get("cA") is not None:
-                cfg.c_A = float(basis["cA"])
-            if basis.get("lambdas") is not None:
-                cfg.lambdas = [float(x) for x in basis["lambdas"]]
-        if "r" in obj:
-            re, im = obj["r"]
-            cfg.r = complex(float(re), float(im))
-        if "T" in obj:
-            cfg.T = float(obj["T"])
-        if "seed" in obj:
-            cfg.seed = int(obj["seed"])
-        if "decay" in obj:
-            cfg.decay = float(obj["decay"])
-        if "noise" in obj:
-            cfg.noise = float(obj["noise"])
-        if "coeffs" in obj:
-            cfg.coeffs = np.array([complex(re, im) for re, im in obj["coeffs"]])
-        oracle = obj.get("oracle", {})
-        if oracle:
-            cfg.oracle_M = int(oracle.get("M", cfg.oracle_M))
-            cfg.oracle_dt = float(oracle.get("dt", cfg.oracle_dt))
-            cfg.oracle_modes = int(oracle.get("modes", cfg.oracle_modes))
-        if "trajectory_steps" in obj:
-            cfg.trajectory_steps = int(obj["trajectory_steps"])
-        if "sweep_r_re" in obj:
-            cfg.sweep_re = tuple(float(x) for x in obj["sweep_r_re"])
-        if "out" in obj:
-            cfg.out = Path(obj["out"])
-    except (TypeError, ValueError, KeyError) as exc:
-        raise InvalidArgumentError(f"malformed config: {exc}") from exc
+    for f in fields(cfg):
+        *parents, key = f.metadata["path"].split(".")
+        section = obj
+        for name in parents:  # a null or empty "basis" or "oracle" counts as absent
+            section = section.get(name) or {}
+            if not isinstance(section, dict):
+                raise InvalidArgumentError(f"malformed config: {name} must be a JSON object")
+        if key in section:
+            try:
+                setattr(cfg, f.name, f.metadata["cast"](section[key]))
+            except (TypeError, ValueError, ArithmeticError) as exc:
+                raise InvalidArgumentError(f"malformed config: {exc}") from exc
+        for i, flag in enumerate(f.metadata["flags"]):
+            given = getattr(args, flag[2:].replace("-", "_"), None)
+            if given is not None and f.name == "r":
+                given = complex(given, cfg.r.imag) if i == 0 else complex(cfg.r.real, given)
+            if given is not None:
+                setattr(cfg, f.name, given)
     return cfg
 
 
@@ -156,18 +141,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise InvalidArgumentError(f"decay exponent must exceed 1, got {cfg.decay}")
     if cfg.trajectory_steps < 1:
         raise InvalidArgumentError("trajectory_steps must be >= 1")
-
-
-def _build_basis(cfg: ExperimentConfig):
-    if cfg.kind == DIRICHLET:
-        return make_dirichlet_basis(cfg.L, cfg.N, cfg.c_A)
-    if cfg.kind == PERIODIC:
-        return make_periodic_basis(cfg.L, cfg.N, cfg.c_A)
-    if cfg.kind == CUSTOM:
-        if cfg.lambdas is None:
-            raise InvalidArgumentError("custom basis requires basis.lambdas in the config")
-        return make_custom_basis(cfg.lambdas, cfg.L, cfg.c_A)
-    raise InvalidArgumentError(f"unknown basis kind {cfg.kind!r}")
 
 
 def seeded_coefficients(basis, seed: int, decay: float) -> ModeCoefficients:
@@ -199,41 +172,41 @@ def _rel_err(a: ModeCoefficients, b: ModeCoefficients, order: int) -> float:
     return sobolev_norm(diff, order) / ref if ref > 0 else sobolev_norm(diff, order)
 
 
-def run(cfg: ExperimentConfig, command: str) -> RunReport:
-    """Execute one pipeline, writing artifacts under cfg.out."""
+def run(cfg: ExperimentConfig, command: str) -> dict:
+    """Execute one pipeline, writing artifacts under cfg.out.  Returns the
+    report written as report.json, its path then appended to its outputs."""
     if command not in COMMANDS:
         raise InvalidArgumentError(f"unknown command {command!r}")
     _validate(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    report = RunReport(command=command)
+    handler, decay, files = _HANDLERS[command]
+    report = {"command": command, "well_posed": None, "norms": {}, "errors": {},
+              "conditioning": None, "timings": {}, "outputs": [str(out / f) for f in files]}
     t0 = time.perf_counter()
 
-    handler = {
-        "forward": _run_forward,
-        "average": _run_average,
-        "recover": _run_recover,
-        "roundtrip": _run_roundtrip,
-        "conditioning": _run_conditioning,
-        "oracle-check": _run_oracle_check,
-        "sweep": _run_sweep,
-    }[command]
-    handler(cfg, out, report)
+    N = 64 if cfg.N is None and cfg.kind != CUSTOM else cfg.N  # custom: one per eigenvalue
+    if command == "oracle-check":  # the grid compares the lowest modes only
+        if cfg.kind != DIRICHLET:
+            raise InvalidArgumentError("oracle-check supports Dirichlet bases only")
+        N = min(cfg.oracle_modes, N)
+    basis = basis_from_json({"kind": cfg.kind, "L": cfg.L, "N": N, "cA": cfg.c_A, "lambdas": cfg.lambdas})
+    # forward does not average, and sweep averages at one Re r per point
+    params = None if command in ("forward", "sweep") else AveragingParams(cfg.r, cfg.T)
+    state = None if decay is None else _initial_state(cfg, basis, decay)
+    handler(cfg, out, report, basis, params, state)
 
-    report.timings["total_s"] = time.perf_counter() - t0
+    report["timings"]["total_s"] = time.perf_counter() - t0
     report_path = out / "report.json"
-    report_path.write_text(json.dumps(report.to_json(), indent=2) + "\n")
-    report.outputs.append(str(report_path))
+    report_path.write_text(json.dumps(report, indent=2) + "\n")
+    report["outputs"].append(str(report_path))
     return report
 
 
-def _run_forward(cfg, out, report):
-    basis = _build_basis(cfg)
-    xi = _initial_state(cfg, basis, default_decay=2.0)
+def _run_forward(cfg, out, report, basis, _, xi):
     traj = sample_trajectory(xi, cfg.T, cfg.trajectory_steps)
     trajectory_to_csv(traj, out / "trajectory.csv")
-    report.outputs += [str(out / "trajectory.csv"), str(out / "trajectory.meta.json")]
-    report.norms = {
+    report["norms"] = {
         "xi_h": sobolev_norm(xi, 0),
         "xi_h1": sobolev_norm(xi, 1),
         "sup_h": trajectory_sup_norm(traj, 0),
@@ -241,25 +214,18 @@ def _run_forward(cfg, out, report):
     }
 
 
-def _run_average(cfg, out, report):
-    basis = _build_basis(cfg)
-    params = AveragingParams(cfg.r, cfg.T)
-    xi = _initial_state(cfg, basis, default_decay=2.0)
+def _run_average(cfg, out, report, basis, params, xi):
     mu = apply_time_average(xi, params)
     zeta_to_csv(zeta_factors(basis, params), out / "zeta.csv")
     save_coefficients(out / "mu.json", mu)
-    report.outputs += [str(out / "zeta.csv"), str(out / "mu.json")]
-    report.norms = {
+    report["norms"] = {
         "xi_h1": sobolev_norm(xi, 1),
         "mu_h2": sobolev_norm(mu, 2),
         "forward_smoothing_constant": forward_smoothing_constant(basis, params),
     }
 
 
-def _run_recover(cfg, out, report):
-    basis = _build_basis(cfg)
-    params = AveragingParams(cfg.r, cfg.T)
-    mu = _initial_state(cfg, basis, default_decay=3.0)
+def _run_recover(cfg, out, report, basis, params, mu):
     mu_used = _perturbed(mu, cfg.noise, cfg.seed + 1)
     xi_hat = recover_initial(mu_used, params)
     traj = sample_trajectory(xi_hat, cfg.T, cfg.trajectory_steps)
@@ -267,15 +233,9 @@ def _run_recover(cfg, out, report):
     rep = conditioning_report(basis, params)
     zeta_to_csv(ZetaFactors(rep.zeta, basis), out / "zeta.csv")
     save_coefficients(out / "xi.json", xi_hat)
-    report.outputs += [
-        str(out / "trajectory.csv"),
-        str(out / "trajectory.meta.json"),
-        str(out / "zeta.csv"),
-        str(out / "xi.json"),
-    ]
-    report.well_posed = rep.well_posed
-    report.conditioning = report_summary(rep)
-    report.norms = {
+    report["well_posed"] = rep.well_posed
+    report["conditioning"] = report_summary(rep)
+    report["norms"] = {
         "mu_h2": sobolev_norm(mu_used, 2),
         "xi_h": sobolev_norm(xi_hat, 0),
         "xi_h1": sobolev_norm(xi_hat, 1),
@@ -283,10 +243,7 @@ def _run_recover(cfg, out, report):
     }
 
 
-def _run_roundtrip(cfg, out, report):
-    basis = _build_basis(cfg)
-    params = AveragingParams(cfg.r, cfg.T)
-    xi = _initial_state(cfg, basis, default_decay=2.0)
+def _run_roundtrip(cfg, out, report, basis, params, xi):
     mu = apply_time_average(xi, params)
     mu_used = _perturbed(mu, cfg.noise, cfg.seed + 1)
     xi_hat = recover_initial(mu_used, params)
@@ -296,52 +253,41 @@ def _run_roundtrip(cfg, out, report):
     rel_err = np.divide(abs_err, denom, out=abs_err.copy(), where=denom > 0)
     _write_csv(out / "errors.csv", "k,abs_error,rel_error",
                [range(1, basis.mode_count + 1), abs_err, rel_err])
-    report.outputs += [str(out / "zeta.csv"), str(out / "errors.csv")]
-    report.well_posed = cfg.r.real != 0.0
-    report.errors = {
+    report["well_posed"] = cfg.r.real != 0.0
+    report["errors"] = {
         "roundtrip_rel_h": _rel_err(xi_hat, xi, 0),
         "roundtrip_rel_h1": _rel_err(xi_hat, xi, 1),
         "noise": cfg.noise,
     }
-    report.norms = {"xi_h": sobolev_norm(xi, 0), "mu_h2": sobolev_norm(mu, 2)}
+    report["norms"] = {"xi_h": sobolev_norm(xi, 0), "mu_h2": sobolev_norm(mu, 2)}
 
 
-def _run_conditioning(cfg, out, report):
-    basis = _build_basis(cfg)
-    params = AveragingParams(cfg.r, cfg.T)
+def _run_conditioning(cfg, out, report, basis, params, _):
     rep = conditioning_report(basis, params)
     report_to_csv(rep, out / "zeta.csv")
-    report.outputs.append(str(out / "zeta.csv"))
-    report.well_posed = rep.well_posed
-    report.conditioning = report_summary(rep)
+    report["well_posed"] = rep.well_posed
+    report["conditioning"] = report_summary(rep)
 
 
-def _run_oracle_check(cfg, out, report):
-    if cfg.kind != DIRICHLET:
-        raise InvalidArgumentError("oracle-check supports Dirichlet bases only")
-    n_cmp = min(cfg.oracle_modes, cfg.N)
-    basis = make_dirichlet_basis(cfg.L, n_cmp, cfg.c_A)
-    params = AveragingParams(cfg.r, cfg.T)
+def _run_oracle_check(cfg, out, report, basis, params, _):
+    n_cmp = basis.mode_count
     xi = seeded_coefficients(basis, cfg.seed, cfg.decay if cfg.decay is not None else 2.0)
     spectral_mu = apply_time_average(xi, params)
     fd = FdConfig(cfg.oracle_M, cfg.oracle_dt, cfg.L)
     t0 = time.perf_counter()
     oracle_mu = oracle_mu_coeffs(xi, params, fd)
-    report.timings["oracle_s"] = time.perf_counter() - t0
+    report["timings"]["oracle_s"] = time.perf_counter() - t0
     rel = np.abs(oracle_mu.values - spectral_mu.values) / np.abs(spectral_mu.values)
     spec, orac = spectral_mu.values, oracle_mu.values
     _write_csv(out / "errors.csv", "k,spectral_re,spectral_im,oracle_re,oracle_im,rel_error", [
         range(1, n_cmp + 1), spec.real, spec.imag, orac.real, orac.imag, rel,
     ])
-    report.outputs.append(str(out / "errors.csv"))
-    report.errors = {"max_rel_error": float(rel.max()), "modes_compared": n_cmp}
+    report["errors"] = {"max_rel_error": float(rel.max()), "modes_compared": n_cmp}
 
 
-def _run_sweep(cfg, out, report):
-    basis = _build_basis(cfg)
+def _run_sweep(cfg, out, report, basis, _, mu):
     # one data draw and one noise draw, shared by every sweep point, so the
     # error column isolates the dependence on Re r
-    mu = _initial_state(cfg, basis, default_decay=3.0)
     delta = _perturbed(mu, cfg.noise, cfg.seed + 1).values - mu.values
     noise_h2 = sobolev_norm(ModeCoefficients(delta, basis), 2)
     r_re = sorted(float(x) for x in cfg.sweep_re)
@@ -360,13 +306,27 @@ def _run_sweep(cfg, out, report):
     header = "r_re,min_abs_zeta,error_h,error_h1,noise_h2,amplification,stability_bound"
     _write_csv(out / "errors.csv", header,
                [r_re, min_abs, errs_h, errs_h1, [noise_h2] * len(r_re), amps, bounds])
-    report.outputs.append(str(out / "errors.csv"))
-    report.errors = {
+    report["errors"] = {
         "noise": cfg.noise,
         "noise_h2": noise_h2,
         "max_amplification": max(amps) if amps else 0.0,
         "monotone_error_h1": all(b <= a * (1 + 1e-12) for a, b in zip(errs_h1, errs_h1[1:])),
     }
+
+
+# command -> (handler, decay of the state it draws through _initial_state or
+# None, the files it writes besides report.json); each handler is called with
+# (cfg, out, report, basis, params, state)
+_HANDLERS = {
+    "forward": (_run_forward, 2.0, ("trajectory.csv", "trajectory.meta.json")),
+    "average": (_run_average, 2.0, ("zeta.csv", "mu.json")),
+    "recover": (_run_recover, 3.0, ("trajectory.csv", "trajectory.meta.json", "zeta.csv", "xi.json")),
+    "roundtrip": (_run_roundtrip, 2.0, ("zeta.csv", "errors.csv")),
+    "conditioning": (_run_conditioning, None, ("zeta.csv",)),
+    "oracle-check": (_run_oracle_check, None, ("errors.csv",)),
+    "sweep": (_run_sweep, 3.0, ("errors.csv",)),
+}
+COMMANDS = tuple(_HANDLERS)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -382,31 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
-        p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--r-re", type=float, default=None, help="override Re r")
-        p.add_argument("--r-im", type=float, default=None, help="override Im r")
-        p.add_argument("--T", type=float, default=None, help="override horizon T")
-        p.add_argument("--N", type=int, default=None, help="override mode count")
-        p.add_argument("--seed", type=int, default=None, help="override RNG seed")
-        p.add_argument("--noise", type=float, default=None, help="override noise amplitude")
+        for f in fields(ExperimentConfig):
+            for flag in f.metadata["flags"]:
+                cast = f.metadata["cast"]
+                p.add_argument(flag, type=_FLAG_TYPES.get(cast, cast),
+                               help=f"overrides {f.metadata['path']} of the config")
     return parser
-
-
-def _apply_overrides(cfg: ExperimentConfig, args) -> None:
-    if args.r_re is not None:
-        cfg.r = complex(args.r_re, cfg.r.imag)
-    if args.r_im is not None:
-        cfg.r = complex(cfg.r.real, args.r_im)
-    if args.T is not None:
-        cfg.T = args.T
-    if args.N is not None:
-        cfg.N = args.N
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.noise is not None:
-        cfg.noise = args.noise
-    if args.out is not None:
-        cfg.out = args.out
 
 
 def _diagnostic(kind: str, exc: Exception) -> None:
@@ -419,19 +360,20 @@ def _diagnostic(kind: str, exc: Exception) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        _apply_overrides(cfg, args)
-        report = run(cfg, args.command)
+        report = run(load_config(args.config, args), args.command)
     except IllPosedError as exc:
         _diagnostic("ill-posed-parameters", exc)
         return 2
     except DegenerateModeError as exc:
         _diagnostic("degenerate-mode", exc)
         return 3
-    except (InvalidArgumentError, SchrodavgError) as exc:
+    except NumericError as exc:
+        _diagnostic("numeric-error", exc)
+        return 4
+    except SchrodavgError as exc:
         _diagnostic("config-error", exc)
         return 1
-    if args.command == "conditioning" and report.well_posed is False:
+    if args.command == "conditioning" and report["well_posed"] is False:
         # diagnostic runs still flag the ill-posed regime through the exit code
         _diagnostic("ill-posed-parameters", IllPosedError("Re r = 0 (report written)"))
         return 2

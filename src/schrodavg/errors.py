@@ -9,10 +9,6 @@ class InvalidArgumentError(SchrodavgError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class UnsupportedOperationError(SchrodavgError):
-    """Operation not available for this basis kind."""
-
-
 class NumericError(SchrodavgError):
     """A linear solve or other numeric kernel failed unexpectedly."""
 

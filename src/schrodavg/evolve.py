@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .spectral import CUSTOM, ModeCoefficients, SpectralBasis, _norm_weights, _weighted_norm, _write_csv
+from .spectral import ModeCoefficients, SpectralBasis, _norm_weights, _weighted_norm, _write_csv, basis_to_json
 
 # beyond this phase magnitude, reduce mod 2*pi before exponentiating to limit
 # argument-reduction error on long-time evaluations
@@ -104,8 +104,9 @@ def trajectory_sup_norm(traj: Trajectory, order: int) -> float:
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write rows t,k,re,im through the shared 17g writer, plus a basis sidecar.
 
-    Each time is formatted once and repeated over its N rows.  The sidecar
-    lands next to the CSV with suffix ``.meta.json``.
+    Each time is formatted once and repeated over its N rows.  The sidecar,
+    the basis as spectral.basis_to_json encodes it, lands next to the CSV with
+    suffix ``.meta.json``.
     """
     path = Path(path)
     n = traj.basis.mode_count
@@ -114,8 +115,4 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     _write_csv(path, "t,k,re,im", [
         [ts for ts in times for _ in range(n)], list(range(1, n + 1)) * len(times), v.real, v.imag,
     ])
-    b = traj.basis
-    meta = {"kind": b.kind, "L": b.domain_length, "N": b.mode_count, "cA": b.c_A}
-    if b.kind == CUSTOM:
-        meta["lambdas"] = [float(x) for x in b.lambdas]
-    path.with_suffix(".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    path.with_suffix(".meta.json").write_text(json.dumps(basis_to_json(traj.basis), indent=2) + "\n")

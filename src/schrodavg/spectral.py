@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericError, UnsupportedOperationError
+from .errors import InvalidArgumentError, NumericError
 
 DIRICHLET = "dirichlet_interval"
 PERIODIC = "periodic_interval"
@@ -47,6 +47,7 @@ class SpectralBasis:
         domain_length: length L of the spatial interval [0, L].
         lambdas: eigenvalues, nondecreasing, shape (N,).
         c_A: nonnegative norm shift; every lambda_k + c_A must be positive.
+            None applies the default policy ``unit_floor_shift``.
         labels: integer mode labels (Dirichlet wavenumbers 1..N, periodic
             frequencies 0, 1, -1, 2, -2, ...).  File formats index modes by
             1-based position, not by label.
@@ -58,7 +59,7 @@ class SpectralBasis:
     kind: str
     domain_length: float
     lambdas: np.ndarray
-    c_A: float
+    c_A: float | None
     labels: np.ndarray
     eigenfunctions: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -75,7 +76,7 @@ class SpectralBasis:
             raise InvalidArgumentError("lambdas must be finite")
         if np.any(np.diff(lam) < 0):
             raise InvalidArgumentError("lambdas must be nondecreasing")
-        cA = float(self.c_A)
+        cA = unit_floor_shift(lam) if self.c_A is None else float(self.c_A)
         if not (np.isfinite(cA) and cA >= 0):
             raise InvalidArgumentError("c_A must be nonnegative and finite")
         if lam[0] + cA <= 0:
@@ -114,9 +115,7 @@ def make_dirichlet_basis(L: float, N: int, c_A: float | None = None) -> Spectral
     _check_L_N(L, N)
     k = np.arange(1, int(N) + 1)
     lam = (k * np.pi / L) ** 2
-    if c_A is None:
-        c_A = unit_floor_shift(lam)
-    return SpectralBasis(DIRICHLET, float(L), lam, float(c_A), k)
+    return SpectralBasis(DIRICHLET, float(L), lam, c_A, k)
 
 
 def _periodic_labels(N: int) -> np.ndarray:
@@ -136,9 +135,7 @@ def make_periodic_basis(L: float, N: int, c_A: float | None = None) -> SpectralB
     _check_L_N(L, N)
     m = _periodic_labels(int(N))
     lam = (2.0 * np.pi * m / L) ** 2
-    if c_A is None:
-        c_A = unit_floor_shift(lam)
-    return SpectralBasis(PERIODIC, float(L), lam, float(c_A), m)
+    return SpectralBasis(PERIODIC, float(L), lam, c_A, m)
 
 
 def make_custom_basis(
@@ -153,12 +150,8 @@ def make_custom_basis(
     coefficient-space operation but not grid synthesis/projection.
     """
     lam = np.asarray(lambdas, dtype=float)
-    if c_A is None:
-        if lam.size == 0:
-            raise InvalidArgumentError("lambdas must be nonempty")
-        c_A = unit_floor_shift(lam)
     labels = np.arange(1, lam.size + 1)
-    return SpectralBasis(CUSTOM, float(domain_length), lam, float(c_A), labels, eigenfunctions)
+    return SpectralBasis(CUSTOM, float(domain_length), lam, c_A, labels, eigenfunctions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,10 +209,12 @@ def _norm_weights(basis: SpectralBasis, order: int) -> np.ndarray:
         raise InvalidArgumentError(f"norm order must be 0, 1 or 2, got {order!r}")
     if order == 0:
         return np.ones_like(basis.lambdas)
-    if order == 1:
-        w = basis.lambdas + basis.c_A
-    else:
-        w = basis.lambdas**2 + basis.c_A
+    # an overflowing weight stays inf, and _weighted_norm raises NumericError
+    with np.errstate(over="ignore"):
+        if order == 1:
+            w = basis.lambdas + basis.c_A
+        else:
+            w = basis.lambdas**2 + basis.c_A
     # construction guarantees lambda + c_A > 0; re-check to fail loudly on
     # hand-built bases that bypassed the factories
     if np.any(w <= 0):
@@ -258,7 +253,7 @@ def _mode_matrix(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:
         L = basis.domain_length
         return np.exp(2j * np.pi * np.outer(x, basis.labels) / L) / np.sqrt(L)
     if basis.eigenfunctions is None:
-        raise UnsupportedOperationError(
+        raise InvalidArgumentError(
             "custom basis has no eigenfunction evaluator; grid operations unavailable"
         )
     V = np.asarray(basis.eigenfunctions(x))
@@ -321,65 +316,75 @@ def project_from_grid(samples, basis: SpectralBasis, grid: SpatialGrid) -> ModeC
     return ModeCoefficients(vals, basis)
 
 
-# --- JSON schema: {"kind", "L", "N", "cA", "coeffs": [[re, im], ...]} -------
-# Custom bases additionally persist "lambdas"; eigenfunction callables do not
-# round-trip through JSON.
+# --- JSON: a basis is {"kind", "L", "N", "cA"}, plus "lambdas" for a custom
+# basis; a coefficient file puts "coeffs": [[re, im], ...] before "lambdas".
+# Eigenfunction callables do not round-trip through JSON.
 
 
-def coefficients_to_json(c: ModeCoefficients) -> dict:
-    b = c.basis
-    obj = {
-        "kind": b.kind,
-        "L": b.domain_length,
-        "N": b.mode_count,
-        "cA": b.c_A,
-        "coeffs": [[float(v.real), float(v.imag)] for v in c.values],
-    }
-    if b.kind == CUSTOM:
-        obj["lambdas"] = [float(x) for x in b.lambdas]
+def _integer(x) -> int:
+    """int(x), refusing a non-integral float instead of truncating it."""
+    n = int(x)
+    if isinstance(x, float) and n != x:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return n
+
+
+def _complex_pairs(pairs) -> np.ndarray:
+    """Complex vector from [[re, im], ...]."""
+    return np.array([complex(re, im) for re, im in pairs])
+
+
+def basis_to_json(basis: SpectralBasis, **fields) -> dict:
+    """{"kind", "L", "N", "cA", **fields}, then "lambdas" for a custom basis."""
+    obj = {"kind": basis.kind, "L": basis.domain_length, "N": basis.mode_count, "cA": basis.c_A,
+           **fields}
+    if basis.kind == CUSTOM:
+        obj["lambdas"] = basis.lambdas.tolist()
     return obj
 
 
 def basis_from_json(obj: dict) -> SpectralBasis:
+    """The basis that basis_to_json encodes.  A null "cA" takes the default
+    shift; a custom basis may omit "N", and otherwise N must be len(lambdas)."""
     try:
         kind = obj["kind"]
         L = float(obj["L"])
-        N = int(obj["N"])
         cA = float(obj["cA"]) if obj.get("cA") is not None else None
-    except (KeyError, TypeError, ValueError) as exc:
+        if kind != CUSTOM:
+            N, lam = _integer(obj["N"]), None
+        else:
+            N = None if obj.get("N") is None else _integer(obj["N"])
+            lam = None if obj.get("lambdas") is None else [float(x) for x in obj["lambdas"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"malformed basis object: {exc}") from exc
     if kind == DIRICHLET:
         return make_dirichlet_basis(L, N, cA)
     if kind == PERIODIC:
         return make_periodic_basis(L, N, cA)
     if kind == CUSTOM:
-        if "lambdas" not in obj:
-            raise InvalidArgumentError("custom basis JSON requires 'lambdas'")
-        lam = np.asarray(obj["lambdas"], dtype=float)
-        if lam.size != N:
-            raise InvalidArgumentError(f"lambdas length {lam.size} != N = {N}")
+        if lam is None:
+            raise InvalidArgumentError("custom basis requires 'lambdas'")
+        if N is not None and len(lam) != N:
+            raise InvalidArgumentError(f"lambdas length {len(lam)} != N = {N}")
         return make_custom_basis(lam, L, cA)
     raise InvalidArgumentError(f"unknown basis kind {kind!r}")
 
 
-def coefficients_from_json(obj: dict) -> ModeCoefficients:
-    basis = basis_from_json(obj)
-    raw = obj.get("coeffs")
-    if raw is None:
-        raise InvalidArgumentError("missing 'coeffs'")
-    try:
-        vals = np.array([complex(re, im) for re, im in raw])
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"malformed 'coeffs': {exc}") from exc
-    return ModeCoefficients(vals, basis)
-
-
 def save_coefficients(path, c: ModeCoefficients) -> None:
-    Path(path).write_text(json.dumps(coefficients_to_json(c), indent=2) + "\n")
+    coeffs = [[float(v.real), float(v.imag)] for v in c.values]
+    Path(path).write_text(json.dumps(basis_to_json(c.basis, coeffs=coeffs), indent=2) + "\n")
 
 
 def load_coefficients(path) -> ModeCoefficients:
-    return coefficients_from_json(json.loads(Path(path).read_text()))
+    obj = json.loads(Path(path).read_text())
+    basis = basis_from_json(obj)
+    if obj.get("coeffs") is None:
+        raise InvalidArgumentError("missing 'coeffs'")
+    try:
+        vals = _complex_pairs(obj["coeffs"])
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"malformed 'coeffs': {exc}") from exc
+    return ModeCoefficients(vals, basis)
 
 
 # --- CSV: a header line, then one row per index of equal-length columns -----

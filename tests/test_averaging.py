@@ -15,8 +15,8 @@ from schrodavg import (
     sobolev_norm,
     zeta_factor,
     zeta_factors,
-    zeta_to_csv,
 )
+from schrodavg.averaging import zeta_to_csv
 
 
 class TestZetaFactor:

@@ -17,6 +17,14 @@ from schrodavg.cli import COMMANDS, ExperimentConfig, load_config, main, run
 T_FULL_REVOLUTION = 2.0 / np.pi
 
 
+def _env_with_src():
+    """The environment with this package's source tree first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(schrodavg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -168,6 +176,21 @@ class TestExitCodes:
         diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert diag["error"] == "config-error"
 
+    def test_overflowing_norm_exits_four(self, tmp_path):
+        # lambda^2 = 1e600 overflows the order-2 weight of mu_h2: one
+        # numeric-error line on stderr, without numpy's overflow warning
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"basis": {"kind": "custom", "lambdas": [1.0, 4.0, 1e300]}}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "schrodavg.cli", "average", "--config", str(cfg_path),
+             "--out", str(tmp_path / "x")],
+            capture_output=True, text=True, env=_env_with_src(),
+        )
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "numeric-error"
+
     def test_unknown_flag_exits_one(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["forward", "--frobnicate"])
@@ -223,6 +246,35 @@ class TestConfigFile:
         report = json.loads((out / "report.json").read_text())
         assert report["errors"]["roundtrip_rel_h"] <= 1e-12
 
+    @pytest.mark.parametrize("flags", [[], ["--N", "3"]])
+    def test_custom_basis_needs_no_N(self, tmp_path, flags):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"basis": {"kind": "custom", "lambdas": [-2.0, 0.5, 3.0]}}))
+        out = tmp_path / "run"
+        assert main(["forward", "--config", str(cfg_path), "--out", str(out), *flags]) == 0
+        assert json.loads((out / "trajectory.meta.json").read_text())["N"] == 3
+
+    @pytest.mark.parametrize("config, flags", [
+        ({"basis": [1]}, []),  # not an object
+        ({"oracle": 5}, []),
+        ({"basis": {"N": 3.7}}, []),  # not integral: refused, as --N 3.7 is
+        ({"seed": 3.7}, []),
+        ({"seed": float("inf")}, []),
+        ({"oracle": {"M": 256.5}}, []),
+        ({"oracle": {"modes": 2.5}}, []),
+        ({"trajectory_steps": 3.7}, []),
+        ({"basis": {"kind": "custom", "N": 7, "lambdas": [-2.0, 0.5, 3.0]}}, []),  # N != 3
+        ({"basis": {"kind": "custom", "lambdas": [-2.0, 0.5, 3.0]}}, ["--N", "7"]),
+    ])
+    def test_refused_as_config_error(self, tmp_path, capsys, config, flags):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["forward", "--config", str(cfg_path), "--out", str(tmp_path / "x"),
+                     *flags]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "config-error"
+
     def test_decay_must_exceed_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"decay": 1.0}))
@@ -247,9 +299,9 @@ class TestDeterminism:
     def test_programmatic_run_returns_report(self, tmp_path):
         cfg = ExperimentConfig(N=8, out=tmp_path / "prog")
         report = run(cfg, "roundtrip")
-        assert report.command == "roundtrip"
-        assert report.errors["roundtrip_rel_h"] <= 1e-12
-        assert report.timings["total_s"] > 0
+        assert report["command"] == "roundtrip"
+        assert report["errors"]["roundtrip_rel_h"] <= 1e-12
+        assert report["timings"]["total_s"] > 0
 
 
 class TestImportCost:
@@ -268,11 +320,8 @@ class TestImportCost:
             "                 FdConfig(16, 0.25))\n"
             "print(json.dumps([before, [m for m in names if m in sys.modules]]))\n"
         )
-        src = str(Path(schrodavg.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env)
+                              env=_env_with_src())
         assert proc.returncode == 0, proc.stderr
         before, after = json.loads(proc.stdout)
         assert before == []
@@ -322,6 +371,30 @@ PERIODIC_SHA256 = {
 }
 
 
+# the same for `<command> --config <CUSTOM_CONFIG> --seed 7`, recorded before
+# the basis JSON was given one encoder: it pins where "lambdas" sits in
+# mu.json, xi.json and trajectory.meta.json, on negative and sub-unit
+# eigenvalues, complex zeta and a config that gives no N
+CUSTOM_CONFIG = {"basis": {"kind": "custom", "L": 1.0,
+                           "lambdas": [-2.0, -0.5, 0.25, 0.75, 1.0, 3.5, 9.0, 20.0, 47.5,
+                                       120.0, 300.0, 1000.0]},
+                 "r": [0.3, -0.8], "T": 1.5}
+CUSTOM_SHA256 = {
+    ("forward", "trajectory.csv"): "b2288b5be3aa8b1f4e8f82436e6350e3a769f3ec8e285803c0233cc22847012e",
+    ("forward", "trajectory.meta.json"): "16f67b21fc8a41f4a98b656d78bd7a24ab182ff2cc98f1f57cd51ae54b9a469d",
+    ("average", "mu.json"): "c57b2f13e2b2ca6a87ea0fe2fa9d0bbce1d197e3c06d43eec82e8b17f0b848c5",
+    ("average", "zeta.csv"): "a5a7d5918cd9a7ff07f9fda3a7376426ff0566a54fff2606835ef351b1796a4b",
+    ("recover", "trajectory.csv"): "df25600b2c32a9825e6a2a4884cab37b7271fb24136bf7598191dbdae22c4502",
+    ("recover", "trajectory.meta.json"): "16f67b21fc8a41f4a98b656d78bd7a24ab182ff2cc98f1f57cd51ae54b9a469d",
+    ("recover", "xi.json"): "10641088613ac018da09ff307dabb340b73a6a6ed8962cae2c46a67b12d9dcd6",
+    ("recover", "zeta.csv"): "a5a7d5918cd9a7ff07f9fda3a7376426ff0566a54fff2606835ef351b1796a4b",
+    ("roundtrip", "errors.csv"): "0827ee21bcd8e5e1add8cc18119de5f249ead9ce1cf202c3a1c4ca5d26d02e4d",
+    ("roundtrip", "zeta.csv"): "a5a7d5918cd9a7ff07f9fda3a7376426ff0566a54fff2606835ef351b1796a4b",
+    ("conditioning", "zeta.csv"): "9c983a4ffc049b8d1386802a035f3cf3f60253590acea46298ac1e067d159ae1",
+    ("sweep", "errors.csv"): "14095086b3da1f92d328cbc37b6eae216d014f001c3eb76564f6d7a493ff1aa7",
+}
+
+
 def output_digests(tmp_path, commands, flags):
     """{(command, file name): sha256} of every output but report.json."""
     got = {}
@@ -351,6 +424,13 @@ class TestGoldenBytes:
         commands = [c for c in COMMANDS if c != "oracle-check"]
         got = output_digests(tmp_path, commands, ["--config", str(cfg), "--seed", "7"])
         assert_digests(got, PERIODIC_SHA256)
+
+    def test_custom_basis_outputs_match_recorded_digest(self, tmp_path):
+        cfg = tmp_path / "custom.json"
+        cfg.write_text(json.dumps(CUSTOM_CONFIG))
+        commands = [c for c in COMMANDS if c != "oracle-check"]
+        got = output_digests(tmp_path, commands, ["--config", str(cfg), "--seed", "7"])
+        assert_digests(got, CUSTOM_SHA256)
 
     def test_failure_names_the_changed_files(self):
         want = {("a", "x.csv"): "0", ("b", "y.csv"): "1"}

@@ -19,9 +19,8 @@ from schrodavg import (
     sample_trajectory,
     sobolev_norm,
     trajectory_sup_norm,
-    trajectory_to_csv,
 )
-from schrodavg.evolve import _evolve
+from schrodavg.evolve import _evolve, trajectory_to_csv
 
 
 class TestPropagate:

@@ -24,12 +24,11 @@ from schrodavg import (
     reconstruct_via_shift,
     recover_initial,
     recover_via_shift,
-    report_summary,
-    report_to_csv,
     sobolev_norm,
     stability_bound,
     zeta_factor,
 )
+from schrodavg.recover import report_summary, report_to_csv
 
 PARAMS = AveragingParams(1.0, 1.0)
 

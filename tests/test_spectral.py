@@ -10,9 +10,6 @@ from schrodavg import (
     InvalidArgumentError,
     ModeCoefficients,
     NumericError,
-    UnsupportedOperationError,
-    coefficients_from_json,
-    coefficients_to_json,
     load_coefficients,
     make_custom_basis,
     make_dirichlet_basis,
@@ -25,9 +22,8 @@ from schrodavg import (
     trajectory_sup_norm,
     uniform_grid,
     unit_floor_shift,
-    zeta_to_csv,
 )
-from schrodavg.averaging import ZetaFactors
+from schrodavg.averaging import ZetaFactors, zeta_to_csv
 from schrodavg.spectral import _CSV_BLOCK_ROWS, _mode_matrix, _write_csv
 
 
@@ -143,7 +139,7 @@ class TestNorms:
         traj = sample_trajectory(ModeCoefficients([1e200, 1.0], b), 1.0, 4)
         assert trajectory_sup_norm(traj, 0) == pytest.approx(1e200, rel=1e-15)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # NumericError is the only signal
     @pytest.mark.parametrize("values", [[1.0, 1.0], [1.0, 0.0]])
     def test_overflowing_weight_named(self, values):
         # lambda^2 = 1e600 overflows the order-2 weight (inf, or nan on a zero)
@@ -248,7 +244,7 @@ class TestGridTransforms:
     def test_custom_without_evaluator_unsupported(self):
         b = make_custom_basis([1.0, 2.0])
         g = uniform_grid(1.0, 9)
-        with pytest.raises(UnsupportedOperationError):
+        with pytest.raises(InvalidArgumentError, match="no eigenfunction evaluator"):
             synthesize_on_grid(ModeCoefficients([1.0, 0.0], b), g)
 
     def test_custom_with_evaluator_matches_preset(self):
@@ -279,26 +275,30 @@ class TestJsonSchema:
         assert np.array_equal(back.values, c.values)
         assert np.array_equal(back.basis.lambdas, b.lambdas)
 
-    def test_round_trip_custom_keeps_lambdas(self):
+    def test_round_trip_custom_keeps_lambdas(self, tmp_path):
         b = make_custom_basis([-2.0, 0.5, 3.0])
         c = ModeCoefficients([1.0, 2.0, 3.0], b)
-        obj = coefficients_to_json(c)
-        assert obj["lambdas"] == [-2.0, 0.5, 3.0]
-        back = coefficients_from_json(obj)
+        path = tmp_path / "c.json"
+        save_coefficients(path, c)
+        assert json.loads(path.read_text())["lambdas"] == [-2.0, 0.5, 3.0]
+        back = load_coefficients(path)
         assert np.array_equal(back.basis.lambdas, b.lambdas)
         assert back.basis.c_A == b.c_A
 
-    def test_malformed_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            coefficients_from_json({"kind": "dirichlet_interval", "L": 1.0})
-        with pytest.raises(InvalidArgumentError):
-            coefficients_from_json(
-                {"kind": "nope", "L": 1.0, "N": 1, "cA": 0.0, "coeffs": [[1, 0]]}
-            )
-        with pytest.raises(InvalidArgumentError):
-            coefficients_from_json(
-                {"kind": "custom", "L": 1.0, "N": 1, "cA": 1.0, "coeffs": [[1, 0]]}
-            )
+    def test_malformed_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        for obj in (
+            {"kind": "dirichlet_interval", "L": 1.0},
+            {"kind": "nope", "L": 1.0, "N": 1, "cA": 0.0, "coeffs": [[1, 0]]},
+            {"kind": "custom", "L": 1.0, "N": 1, "cA": 1.0, "coeffs": [[1, 0]]},
+            # a non-integral N is refused, not truncated to 1
+            {"kind": "dirichlet_interval", "L": 1.0, "N": 1.5, "cA": 0.0, "coeffs": [[1, 0]]},
+            {"kind": "custom", "L": 1.0, "N": 2, "cA": 1.0, "lambdas": [1.0], "coeffs": [[1, 0]]},
+            {"kind": "custom", "L": 1.0, "N": 1, "cA": 1.0, "lambdas": ["a"], "coeffs": [[1, 0]]},
+        ):
+            path.write_text(json.dumps(obj))
+            with pytest.raises(InvalidArgumentError):
+                load_coefficients(path)
 
 
 def _rows_one_fstring_at_a_time(header, columns):
