@@ -22,7 +22,12 @@ from .spectral import ModeCoefficients, SpectralBasis, _norm_weights, _write_csv
 
 @dataclass(frozen=True, eq=False)
 class AveragingParams:
-    """Weight exponent r (complex, 1/time) and horizon T (> 0, time)."""
+    """Weight exponent r (complex, 1/time) and horizon T (> 0, time).
+
+    The object also keeps the factors zeta_k of the last basis it was used
+    with (see _factors), so one object per parameter choice, reused across a
+    solve, evaluates them once.
+    """
 
     r: complex
     T: float
@@ -36,6 +41,7 @@ class AveragingParams:
             raise InvalidArgumentError(f"T must be positive and finite, got {T}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "T", T)
+        object.__setattr__(self, "_memo", None)  # (basis, z) of _factors
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +76,19 @@ def _zeta_values(r: complex, T: float, lam) -> np.ndarray:
     return out
 
 
+def _factors(basis: SpectralBasis, params: AveragingParams) -> np.ndarray:
+    """Read-only zeta_k of every mode of ``basis``, evaluated once per
+    (basis, params): ``params`` keeps the array of the last basis it met,
+    so one solve chain (forward map, inversion, report) evaluates once."""
+    memo = params._memo
+    if memo is None or memo[0] is not basis:
+        z = _zeta_values(params.r, params.T, basis.lambdas)
+        z.setflags(write=False)
+        memo = (basis, z)
+        object.__setattr__(params, "_memo", memo)
+    return memo[1]
+
+
 def zeta_factor(r: complex, T: float, lam: float) -> complex:
     """The averaging factor (exp((r - i lam) T) - 1) / (r - i lam).
 
@@ -82,13 +101,12 @@ def zeta_factor(r: complex, T: float, lam: float) -> complex:
 
 def zeta_factors(basis: SpectralBasis, params: AveragingParams) -> ZetaFactors:
     """All per-mode factors for the basis eigenvalues."""
-    return ZetaFactors(_zeta_values(params.r, params.T, basis.lambdas), basis)
+    return ZetaFactors(_factors(basis, params), basis)
 
 
 def apply_time_average(xi: ModeCoefficients, params: AveragingParams) -> ModeCoefficients:
     """Image of the state under the averaging map: gamma_k = zeta_k alpha_k."""
-    z = _zeta_values(params.r, params.T, xi.basis.lambdas)
-    return ModeCoefficients(z * xi.values, xi.basis)
+    return ModeCoefficients(_factors(xi.basis, params) * xi.values, xi.basis)
 
 
 def forward_smoothing_constant(basis: SpectralBasis, params: AveragingParams) -> float:
@@ -98,7 +116,7 @@ def forward_smoothing_constant(basis: SpectralBasis, params: AveragingParams) ->
     mode at the maximizing k attains equality, so the bound is tight on the
     truncated basis.
     """
-    z = np.abs(_zeta_values(params.r, params.T, basis.lambdas))
+    z = np.abs(_factors(basis, params))
     return float(np.max(np.sqrt(_norm_weights(basis, 2) / _norm_weights(basis, 1)) * z))
 
 

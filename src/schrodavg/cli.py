@@ -269,9 +269,8 @@ def _run_conditioning(cfg, out, report, basis, params, _):
     report["conditioning"] = report_summary(rep)
 
 
-def _run_oracle_check(cfg, out, report, basis, params, _):
+def _run_oracle_check(cfg, out, report, basis, params, xi):
     n_cmp = basis.mode_count
-    xi = seeded_coefficients(basis, cfg.seed, cfg.decay if cfg.decay is not None else 2.0)
     spectral_mu = apply_time_average(xi, params)
     fd = FdConfig(cfg.oracle_M, cfg.oracle_dt, cfg.L)
     t0 = time.perf_counter()
@@ -323,7 +322,7 @@ _HANDLERS = {
     "recover": (_run_recover, 3.0, ("trajectory.csv", "trajectory.meta.json", "zeta.csv", "xi.json")),
     "roundtrip": (_run_roundtrip, 2.0, ("zeta.csv", "errors.csv")),
     "conditioning": (_run_conditioning, None, ("zeta.csv",)),
-    "oracle-check": (_run_oracle_check, None, ("errors.csv",)),
+    "oracle-check": (_run_oracle_check, 2.0, ("errors.csv",)),
     "sweep": (_run_sweep, 3.0, ("errors.csv",)),
 }
 COMMANDS = tuple(_HANDLERS)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import AveragingParams, _cexpm1, _zeta_values
+from .averaging import AveragingParams, _cexpm1, _factors
 from .errors import DegenerateModeError, IllPosedError
 from .evolve import Trajectory, _check_times, _evolve
 from .spectral import ModeCoefficients, SpectralBasis, _write_csv, make_custom_basis, unit_floor_shift
@@ -28,7 +28,7 @@ _DEGENERATE_REL = 1.0e-14
 
 
 def _inverted_factors(basis: SpectralBasis, params: AveragingParams, allow_ill_posed: bool):
-    z = _zeta_values(params.r, params.T, basis.lambdas)
+    z = _factors(basis, params)
     absz = np.abs(z)
     threshold = _DEGENERATE_REL * max(1.0, float(absz.max(initial=0.0)))
     bad = np.flatnonzero(absz <= threshold)
@@ -150,7 +150,7 @@ def stability_bound(params: AveragingParams) -> float:
 def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> ConditioningReport:
     """Diagnostic report; never raises, even in the ill-posed regime."""
     lam = basis.lambdas
-    z = _zeta_values(params.r, params.T, lam)
+    z = _factors(basis, params)
     absz = np.abs(z)
     denom_re = _abs_expm1(params.r.real * params.T)
     # |exp(rT) - 1| >= |exp(Re r T) - 1|, so it overflows whenever that does
@@ -158,9 +158,19 @@ def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> Condit
         math.inf if denom_re == math.inf
         else abs(complex(_cexpm1(np.asarray(params.r * params.T))))
     )
-    with np.errstate(divide="ignore"):
+    try:  # Python's float power, not numpy's square: their last bits differ
+        r2 = abs(params.r) ** 2
+    except OverflowError:
+        r2 = math.inf
+    with np.errstate(divide="ignore", over="ignore"):
         inv_bound = np.hypot(params.r.real, params.r.imag - lam) / denom_re
-        psi = np.sqrt(abs(params.r) ** 2 + lam**2) / denom_full
+        # hypot only where the sum of squares overflows: elsewhere it would
+        # move the last bit of psi on about one mode in six
+        psi = np.sqrt(r2 + lam**2)
+        lost = ~np.isfinite(psi)
+        if lost.any():
+            psi[lost] = np.hypot(abs(params.r), lam[lost])
+        psi /= denom_full
         stab = (1.0 + abs(params.r)) / denom_re if denom_re > 0 else math.inf
     return ConditioningReport(
         basis=basis,

@@ -93,6 +93,7 @@ class SpectralBasis:
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "c_A", cA)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_weights", {})  # order -> _norm_weights array
 
     @property
     def mode_count(self) -> int:
@@ -205,20 +206,25 @@ def uniform_grid(L: float, M: int) -> SpatialGrid:
 
 
 def _norm_weights(basis: SpectralBasis, order: int) -> np.ndarray:
+    """Read-only norm weights of ``order``, built once per basis and order."""
     if order not in (0, 1, 2) or isinstance(order, bool):
         raise InvalidArgumentError(f"norm order must be 0, 1 or 2, got {order!r}")
+    w = basis._weights.get(order)
+    if w is not None:
+        return w
     if order == 0:
-        return np.ones_like(basis.lambdas)
-    # an overflowing weight stays inf, and _weighted_norm raises NumericError
-    with np.errstate(over="ignore"):
-        if order == 1:
-            w = basis.lambdas + basis.c_A
-        else:
-            w = basis.lambdas**2 + basis.c_A
-    # construction guarantees lambda + c_A > 0; re-check to fail loudly on
-    # hand-built bases that bypassed the factories
-    if np.any(w <= 0):
-        raise InvalidArgumentError(f"order-{order} weights are not all positive")
+        w = np.ones_like(basis.lambdas)
+    else:
+        # an overflowing weight stays inf, and _weighted_norm raises NumericError
+        with np.errstate(over="ignore"):
+            w = basis.lambdas + basis.c_A if order == 1 else basis.lambdas**2 + basis.c_A
+        # construction guarantees lambda + c_A > 0; re-check to fail loudly on
+        # hand-built bases that bypassed the factories (nothing is kept then,
+        # so every call fails)
+        if np.any(w <= 0):
+            raise InvalidArgumentError(f"order-{order} weights are not all positive")
+    w.setflags(write=False)
+    basis._weights[order] = w
     return w
 
 
@@ -376,7 +382,10 @@ def save_coefficients(path, c: ModeCoefficients) -> None:
 
 
 def load_coefficients(path) -> ModeCoefficients:
-    obj = json.loads(Path(path).read_text())
+    try:
+        obj = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise InvalidArgumentError(f"cannot read coefficients {path}: {exc}") from exc
     basis = basis_from_json(obj)
     if obj.get("coeffs") is None:
         raise InvalidArgumentError("missing 'coeffs'")

@@ -5,9 +5,11 @@ agreement between the two routes is evidence, not circularity.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 from scipy.integrate import quad
 
+import schrodavg.averaging
 from schrodavg import ModeCoefficients, propagate
 
 settings.register_profile(
@@ -17,6 +19,17 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("numeric")
+
+
+@pytest.fixture
+def zeta_calls(monkeypatch):
+    """The argument tuples of every call of averaging._zeta_values, the one
+    factor kernel, recorded as the test runs."""
+    calls = []
+    real = schrodavg.averaging._zeta_values
+    monkeypatch.setattr(schrodavg.averaging, "_zeta_values",
+                        lambda *a: calls.append(a) or real(*a))
+    return calls
 
 
 def power_law_state(basis, seed, p):

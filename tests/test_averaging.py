@@ -9,14 +9,29 @@ from schrodavg import (
     InvalidArgumentError,
     ModeCoefficients,
     apply_time_average,
+    conditioning_report,
     forward_smoothing_constant,
     make_custom_basis,
     make_dirichlet_basis,
+    make_periodic_basis,
+    reconstruct_solution,
+    recover_initial,
     sobolev_norm,
     zeta_factor,
     zeta_factors,
 )
-from schrodavg.averaging import zeta_to_csv
+from schrodavg.averaging import _zeta_values, zeta_to_csv
+
+
+def _solve_chain(xi, params):
+    """Every public consumer of the factors, as the benchmark's solve op and
+    the CLI commands call them."""
+    mu = apply_time_average(xi, params)
+    recover_initial(mu, params)
+    conditioning_report(xi.basis, params)
+    reconstruct_solution(mu, params, np.linspace(0.0, params.T, 5))
+    zeta_factors(xi.basis, params)
+    forward_smoothing_constant(xi.basis, params)
 
 
 class TestZetaFactor:
@@ -89,6 +104,60 @@ class TestZetaFactors:
         f = zeta_factors(b, params)
         for lam, z in zip(b.lambdas, f.values):
             assert abs(z - zeta_by_quadrature(params.r, params.T, lam)) < 1e-10
+
+
+class TestFactorMemo:
+    BASES = {
+        "dirichlet": lambda: make_dirichlet_basis(1.0, 12),
+        "periodic": lambda: make_periodic_basis(2.0, 11),
+        "custom": lambda: make_custom_basis([-3.0, 0.0, 0.5, 7.0, 40.0]),
+    }
+
+    def test_one_evaluation_per_basis_and_params(self, zeta_calls):
+        b = make_dirichlet_basis(1.0, 16)
+        params = AveragingParams(0.7 - 0.4j, 1.3)
+        _solve_chain(power_law_state(b, 1, 2.0), params)
+        assert len(zeta_calls) == 1
+
+    def test_another_basis_evaluates_again(self, zeta_calls):
+        params = AveragingParams(0.7 - 0.4j, 1.3)
+        # equal eigenvalues, but two objects: the memo keys on identity
+        for b in (make_dirichlet_basis(1.0, 16), make_dirichlet_basis(1.0, 16)):
+            _solve_chain(power_law_state(b, 1, 2.0), params)
+        assert len(zeta_calls) == 2
+
+    @pytest.mark.parametrize("kind", sorted(BASES))
+    def test_memoised_outputs_equal_fresh_ones(self, kind):
+        b = self.BASES[kind]()
+        other = make_dirichlet_basis(1.0, 3)
+        xi = power_law_state(b, 4, 2.0)
+        r, T = 0.3 + 2.0j, 0.9
+
+        def fresh():
+            return AveragingParams(r, T)  # a new object has no memo
+
+        params = fresh()
+        zeta_factors(other, params)  # the memo must not serve another basis
+        mu = apply_time_average(xi, params)
+        assert np.array_equal(mu.values, apply_time_average(xi, fresh()).values)
+        assert np.array_equal(mu.values, _zeta_values(r, T, b.lambdas) * xi.values)
+        assert np.array_equal(zeta_factors(b, params).values, _zeta_values(r, T, b.lambdas))
+        assert np.array_equal(recover_initial(mu, params).values,
+                              recover_initial(mu, fresh()).values)
+        assert np.array_equal(reconstruct_solution(mu, params, [0.0, 0.4]).states,
+                              reconstruct_solution(mu, fresh(), [0.0, 0.4]).states)
+        assert forward_smoothing_constant(b, params) == forward_smoothing_constant(b, fresh())
+        rep, ref = conditioning_report(b, params), conditioning_report(b, fresh())
+        for name in ("zeta", "abs_zeta", "inv_zeta_bound", "psi"):
+            assert np.array_equal(getattr(rep, name), getattr(ref, name))
+
+    def test_memoised_factors_are_read_only(self):
+        b = make_dirichlet_basis(1.0, 4)
+        params = AveragingParams(1.0, 1.0)
+        rep = conditioning_report(b, params)
+        with pytest.raises(ValueError):
+            rep.zeta[0] = 0.0
+        assert rep.zeta is conditioning_report(b, params).zeta
 
 
 class TestApplyTimeAverage:

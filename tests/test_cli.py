@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import schrodavg
-from schrodavg import load_coefficients
+from schrodavg import (
+    AveragingParams, ModeCoefficients, apply_time_average, load_coefficients, make_dirichlet_basis,
+)
 from schrodavg.cli import COMMANDS, ExperimentConfig, load_config, main, run
 
 T_FULL_REVOLUTION = 2.0 / np.pi
@@ -94,13 +96,14 @@ class TestCommands:
         report = json.loads((out / "report.json").read_text())
         assert report["errors"]["monotone_error_h1"] is True
 
-    def test_sweep_evaluates_factors_once_per_point(self, tmp_path, monkeypatch):
-        calls = []
-        real = schrodavg.recover._zeta_values
-        monkeypatch.setattr(schrodavg.recover, "_zeta_values",
-                            lambda *a: calls.append(a) or real(*a))
+    def test_sweep_evaluates_factors_once_per_point(self, tmp_path, zeta_calls):
         assert main(["sweep", "--out", str(tmp_path / "sw"), "--noise", "1e-6", "--N", "16"]) == 0
-        assert len(calls) == 5  # the five default Re r points
+        assert len(zeta_calls) == 5  # the five default Re r points
+
+    @pytest.mark.parametrize("command", ["average", "recover", "roundtrip", "conditioning"])
+    def test_command_evaluates_factors_once(self, tmp_path, zeta_calls, command):
+        assert main([command, "--out", str(tmp_path / "x"), "--N", "16", "--noise", "1e-6"]) == 0
+        assert len(zeta_calls) == 1
 
     def test_sweep_noise_bytes_pinned(self, tmp_path):
         # sha256 of errors.csv recorded when each point inverted mu and
@@ -274,6 +277,25 @@ class TestConfigFile:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "config-error"
+
+    def test_oracle_check_compares_given_coefficients(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"basis": {"N": 2}, "coeffs": [[5, 0], [0, 7]]}))
+        out = tmp_path / "oc"
+        assert main(["oracle-check", "--config", str(cfg_path), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "errors.csv")
+        spectral = [complex(float(row[1]), float(row[2])) for row in rows]
+        params = AveragingParams(1.0, 1.0)
+        want = apply_time_average(ModeCoefficients([5.0, 7.0j], make_dirichlet_basis(1.0, 2)), params)
+        assert spectral == list(want.values)
+
+    def test_oracle_check_coefficients_must_match_compared_modes(self, tmp_path, capsys):
+        # the default oracle.modes = 2 compares two modes, not three
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"basis": {"N": 3}, "coeffs": [[1, 0], [0, 1], [1, 1]]}))
+        assert main(["oracle-check", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert diag["error"] == "config-error"
 
     def test_decay_must_exceed_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -238,6 +238,23 @@ class TestConditioningReport:
         assert np.all(rep.inv_zeta_bound == 0.0)
         assert np.all(rep.psi == 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_psi_finite_where_lambda_squared_overflows(self):
+        # lambda^2 = 1e600 overflows, while psi itself is about 1e300
+        b = make_custom_basis([1.0, 4.0, 1e300])
+        rep = conditioning_report(b, PARAMS)
+        assert np.all(np.isfinite(rep.psi))
+        assert rep.psi[2] == pytest.approx(1e300 / (np.e - 1.0), rel=1e-15)
+        assert rep.psi[0] == pytest.approx(math.sqrt(2.0) / math.expm1(1.0), rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_psi_finite_where_r_squared_overflows(self):
+        # |r|^2 = 1e400 overflows a Python float, which raises instead of
+        # giving inf; the report still never raises
+        rep = conditioning_report(make_dirichlet_basis(1.0, 3), AveragingParams(1e200j, 1.0))
+        assert np.all(np.isfinite(rep.psi))
+        assert rep.psi[0] == pytest.approx(1e200 / abs(np.expm1(1e200j)), rel=1e-15)
+
 
 class TestStabilityBound:
     def test_growing_weight(self):

@@ -24,7 +24,7 @@ from schrodavg import (
     unit_floor_shift,
 )
 from schrodavg.averaging import ZetaFactors, zeta_to_csv
-from schrodavg.spectral import _CSV_BLOCK_ROWS, _mode_matrix, _write_csv
+from schrodavg.spectral import _CSV_BLOCK_ROWS, _mode_matrix, _norm_weights, _write_csv
 
 
 class TestBasisConstruction:
@@ -125,8 +125,10 @@ class TestNorms:
     def test_invalid_order(self):
         b = make_dirichlet_basis(1.0, 2, 0.0)
         c = ModeCoefficients([1.0, 0.0], b)
-        with pytest.raises(InvalidArgumentError):
-            sobolev_norm(c, 3)
+        sobolev_norm(c, 1)  # kept weights must not let a bad order through
+        for order in (3, True, 3, True):
+            with pytest.raises(InvalidArgumentError):
+                sobolev_norm(c, order)
 
     def test_overflowing_squares_rescaled(self):
         # |1e200|^2 overflows; the norm itself is finite
@@ -145,8 +147,27 @@ class TestNorms:
         # lambda^2 = 1e600 overflows the order-2 weight (inf, or nan on a zero)
         c = ModeCoefficients(values, make_custom_basis([1.0, 1e300]))
         assert sobolev_norm(c, 1) > 0
-        with pytest.raises(NumericError, match="order-2"):
-            sobolev_norm(c, 2)
+        for _ in range(2):  # the kept inf weight raises again on the next call
+            with pytest.raises(NumericError, match="order-2"):
+                sobolev_norm(c, 2)
+
+
+class TestNormWeights:
+    def test_built_once_per_basis_and_order_read_only(self):
+        b = make_periodic_basis(1.0, 5)
+        for order, want in ((0, np.ones(5)), (1, b.lambdas + 1.0), (2, b.lambdas**2 + 1.0)):
+            w = _norm_weights(b, order)
+            assert np.array_equal(w, want)
+            assert not w.flags.writeable
+            assert _norm_weights(b, order) is w
+
+    def test_nonpositive_weights_refused_on_every_call(self):
+        # a basis altered after its checks ran, as a hand-built one could be
+        b = make_dirichlet_basis(1.0, 2)
+        object.__setattr__(b, "c_A", -100.0)
+        for _ in range(2):
+            with pytest.raises(InvalidArgumentError, match="order-1"):
+                _norm_weights(b, 1)
 
 
 class TestGridTransforms:
@@ -299,6 +320,16 @@ class TestJsonSchema:
             path.write_text(json.dumps(obj))
             with pytest.raises(InvalidArgumentError):
                 load_coefficients(path)
+
+    def test_missing_file_refused(self, tmp_path):
+        with pytest.raises(InvalidArgumentError, match="cannot read"):
+            load_coefficients(tmp_path / "absent.json")
+
+    def test_malformed_json_refused(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("{not json")
+        with pytest.raises(InvalidArgumentError, match="cannot read"):
+            load_coefficients(path)
 
 
 def _rows_one_fstring_at_a_time(header, columns):
