@@ -147,6 +147,12 @@ def stability_bound(params: AveragingParams) -> float:
     return (1.0 + abs(params.r)) / _abs_expm1(params.r.real * params.T)
 
 
+def _quotient(num: np.ndarray, den: float, T: float) -> np.ndarray:
+    """num / den, where 0 / 0 takes its limit 1 / T: both vanish only at
+    s_k = r - i lambda_k = 0, where zeta_k = T."""
+    return num / den if den != 0.0 else np.where(num == 0.0, 1.0 / T, math.inf)
+
+
 def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> ConditioningReport:
     """Diagnostic report; never raises, even in the ill-posed regime."""
     lam = basis.lambdas
@@ -162,15 +168,15 @@ def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> Condit
         r2 = abs(params.r) ** 2
     except OverflowError:
         r2 = math.inf
-    with np.errstate(divide="ignore", over="ignore"):
-        inv_bound = np.hypot(params.r.real, params.r.imag - lam) / denom_re
+    with np.errstate(over="ignore"):
+        inv_bound = _quotient(np.hypot(params.r.real, params.r.imag - lam), denom_re, params.T)
         # hypot only where the sum of squares overflows: elsewhere it would
         # move the last bit of psi on about one mode in six
         psi = np.sqrt(r2 + lam**2)
         lost = ~np.isfinite(psi)
         if lost.any():
             psi[lost] = np.hypot(abs(params.r), lam[lost])
-        psi /= denom_full
+        psi = _quotient(psi, denom_full, params.T)
         stab = (1.0 + abs(params.r)) / denom_re if denom_re > 0 else math.inf
     return ConditioningReport(
         basis=basis,

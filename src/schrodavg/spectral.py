@@ -205,40 +205,45 @@ def uniform_grid(L: float, M: int) -> SpatialGrid:
     return SpatialGrid(int(M), np.linspace(0.0, float(L), int(M)))
 
 
-def _norm_weights(basis: SpectralBasis, order: int) -> np.ndarray:
-    """Read-only norm weights of ``order``, built once per basis and order."""
+def _norm_weights(basis: SpectralBasis, order: int) -> np.ndarray | None:
+    """Read-only norm weights of ``order``, built once per basis and order;
+    None for order 0, whose unit weights _weighted_norm skips (x * 1.0 == x)."""
     if order not in (0, 1, 2) or isinstance(order, bool):
         raise InvalidArgumentError(f"norm order must be 0, 1 or 2, got {order!r}")
+    if order == 0:
+        return None
     w = basis._weights.get(order)
     if w is not None:
         return w
-    if order == 0:
-        w = np.ones_like(basis.lambdas)
-    else:
-        # an overflowing weight stays inf, and _weighted_norm raises NumericError
-        with np.errstate(over="ignore"):
-            w = basis.lambdas + basis.c_A if order == 1 else basis.lambdas**2 + basis.c_A
-        # construction guarantees lambda + c_A > 0; re-check to fail loudly on
-        # hand-built bases that bypassed the factories (nothing is kept then,
-        # so every call fails)
-        if np.any(w <= 0):
-            raise InvalidArgumentError(f"order-{order} weights are not all positive")
+    # an overflowing weight stays inf, and _weighted_norm raises NumericError
+    with np.errstate(over="ignore"):
+        w = basis.lambdas + basis.c_A if order == 1 else basis.lambdas**2 + basis.c_A
+    # construction guarantees lambda + c_A > 0; re-check to fail loudly on
+    # hand-built bases that bypassed the factories (nothing is kept then,
+    # so every call fails)
+    if np.any(w <= 0):
+        raise InvalidArgumentError(f"order-{order} weights are not all positive")
     w.setflags(write=False)
     basis._weights[order] = w
     return w
 
 
-def _weighted_norm(values: np.ndarray, w: np.ndarray, order: int) -> np.ndarray:
-    """sqrt(sum w |c|^2) over the last axis.  Where the plain sum overflows it
-    is redone on c / max|c|, so finite norms keep their bits; a norm still not
-    finite (the weights overflow, or the norm itself) raises NumericError."""
+def _weighted_norm(values: np.ndarray, w: np.ndarray | None, order: int) -> np.ndarray:
+    """sqrt(sum w |c|^2) over the last axis, with w = 1 where w is None.  Where
+    the plain sum overflows it is redone on c / max|c|, so finite norms keep
+    their bits; a norm still not finite (the weights overflow, or the norm
+    itself) raises NumericError."""
+
+    def norm_of(c):
+        sq = c.real**2 + c.imag**2
+        return np.sqrt((sq if w is None else w * sq).sum(-1))
+
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.sqrt((w * (values.real**2 + values.imag**2)).sum(-1))
+        norm = norm_of(values)
         if np.isfinite(norm).all():
             return norm
         m = np.abs(values).max(axis=-1, keepdims=True)
-        c = values / m
-        scaled = m[..., 0] * np.sqrt((w * (c.real**2 + c.imag**2)).sum(-1))
+        scaled = m[..., 0] * norm_of(values / m)
         norm = np.where(np.isfinite(norm), norm, scaled)
     if not np.isfinite(norm).all():
         raise NumericError(f"order-{order} norm is not finite: its weights or its value overflow")

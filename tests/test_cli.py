@@ -133,6 +133,19 @@ class TestExitCodes:
         assert report["conditioning"]["min_abs_zeta"] <= 1e-14
         assert report["conditioning"]["stability_bound"] is None
 
+    @pytest.mark.filterwarnings("error")
+    def test_conditioning_at_r_zero_writes_the_limit(self, tmp_path, capsys):
+        # mode 1 of the periodic basis has lambda = 0, so s_1 = r = 0 and
+        # zeta_1 = T: its quotients are 0/0, written as their limit 1/T
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"basis": {"kind": "periodic_interval", "N": 4}, "r": [0, 0]}))
+        out = tmp_path / "cond"
+        assert main(["conditioning", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "warning" not in capsys.readouterr().err.lower()
+        header, rows = read_csv(out / "zeta.csv")
+        assert rows[0] == ["1", "0", "1", "1", "1"]
+        assert all(row[3:] == ["inf", "inf"] for row in rows[1:])
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the factors overflow
     def test_overflowing_weight_writes_strict_json(self, tmp_path):
         # exp(800) overflows, so min |zeta| is NaN; report.json must still be
@@ -348,6 +361,23 @@ class TestImportCost:
         before, after = json.loads(proc.stdout)
         assert before == []
         assert "scipy.linalg" in after
+
+    def test_thread_pool_loads_only_for_large_rows(self):
+        # concurrent.futures costs start-up; only a trajectory whose rows are
+        # large enough to run on threads imports it
+        code = (
+            "import sys\n"
+            "import schrodavg.cli\n"
+            "from schrodavg import ModeCoefficients, make_dirichlet_basis, sample_trajectory\n"
+            "from schrodavg import trajectory_sup_norm\n"
+            "b = make_dirichlet_basis(1.0, 64)\n"
+            "trajectory_sup_norm(sample_trajectory(ModeCoefficients([1.0] * 64, b), 1.0, 32), 1)\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_env_with_src())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 # sha256 of every output file except report.json (it holds timings) for

@@ -1,7 +1,9 @@
 """Phase evolution, trajectory sampling, sup norms, CSV export."""
 
+import concurrent.futures
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from schrodavg import (
     AveragingParams,
     InvalidArgumentError,
     ModeCoefficients,
+    NumericError,
     Trajectory,
+    make_custom_basis,
     make_dirichlet_basis,
     make_periodic_basis,
     propagate,
@@ -20,7 +24,7 @@ from schrodavg import (
     sobolev_norm,
     trajectory_sup_norm,
 )
-from schrodavg.evolve import _evolve, trajectory_to_csv
+from schrodavg.evolve import _THREAD_MIN_VALUES, _evolve, trajectory_to_csv
 
 
 class TestPropagate:
@@ -199,6 +203,73 @@ class TestBlockKernel:
         mu = power_law_state(b, seed, 3.0)
         traj = reconstruct_solution(mu, AveragingParams(0.5 + 0.25j, 1.0), np.linspace(0.0, 1.0, 33))
         assert hashlib.sha256(traj.states.tobytes()).hexdigest() == digest
+
+
+@pytest.fixture
+def executors(monkeypatch):
+    """Count the thread pools the kernel opens, with `cpus` CPUs allowed."""
+    made = []
+
+    class Counting(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    def allow(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        return made
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
+    return allow
+
+
+class TestThreadedRows:
+    """Rows of _THREAD_MIN_VALUES values or more are filled and reduced on
+    threads when the process may use several CPUs; every bit must still match
+    the row-by-row loop."""
+
+    # 8 CPUs: more threads than this host may have cores, and the cap of 4
+    @pytest.mark.parametrize("N, cpus", [(_THREAD_MIN_VALUES - 1, 2), (_THREAD_MIN_VALUES, 2), (1 << 18, 8)])
+    def test_threads_match_row_loop(self, N, cpus, executors):
+        made = executors(cpus)
+        rng = np.random.default_rng(N)
+        for make in (make_dirichlet_basis, make_periodic_basis):
+            b = make(1.0, N)
+            values = rng.normal(size=N) + 1j * rng.normal(size=N)
+            values *= 10.0 ** rng.uniform(-5.0, 5.0, N)
+            # the horizon 3e7 folds the phase (lambda t > 1e8) on later rows
+            for n_times, T in ((5, 2.0), (4, 3.0e7)):
+                times = np.sort(rng.uniform(0.0, T, n_times))
+                ref = row_loop(values, b.lambdas, times)
+                got = _evolve(values, b.lambdas, times)
+                assert np.array_equal(got, ref), (make.__name__, T)
+                traj = Trajectory(times, got, b)
+                for order, w in ((0, np.ones(N)), (1, b.lambdas + b.c_A)):
+                    assert trajectory_sup_norm(traj, order) == row_sup_norm(ref, w)
+        assert len(made) == (0 if N < _THREAD_MIN_VALUES else 12)
+        assert all(args == (min(cpus, 4),) for args in made)
+
+    def test_one_cpu_runs_inline(self, executors):
+        made = executors(1)
+        b = make_periodic_basis(1.0, _THREAD_MIN_VALUES)
+        traj = sample_trajectory(power_law_state(b, 3, 2.0), 1.0, 3)
+        trajectory_sup_norm(traj, 1)
+        assert made == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_worker_error_reaches_caller(self, cpus, executors):
+        # the weight 1e308 times |c|^2 = 1e400 overflows the order-1 norm of
+        # rows 1 and 2, even rescaled; row 0 and every order-0 norm are finite
+        made = executors(cpus)
+        N = _THREAD_MIN_VALUES
+        b = make_custom_basis(np.r_[np.ones(N - 1), 1.0e308])
+        states = np.ones((3, N), dtype=complex)
+        states[1:, -1] = 1.0e200
+        traj = Trajectory([0.0, 1.0, 2.0], states, b)
+        assert trajectory_sup_norm(traj, 0) == pytest.approx(1.0e200)
+        with pytest.raises(NumericError, match="order-1 norm is not finite"):
+            trajectory_sup_norm(traj, 1)
+        assert len(made) == (2 if cpus > 1 else 0)
 
 
 class TestTrajectoryType:

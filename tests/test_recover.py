@@ -210,6 +210,24 @@ class TestConditioningReport:
             rep = conditioning_report(b, params)
             assert np.all(rep.inv_zeta_bound * rep.abs_zeta >= 1.0 - 1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("T", [1.0, 2.5])
+    def test_vanishing_exponent_takes_the_limit(self, T):
+        # s_k = r - i lambda_k = 0 makes both quotients 0/0; zeta_k = T there,
+        # so the limit 1/T is written, and every other mode keeps its value
+        b = make_periodic_basis(1.0, 4)
+        rep = conditioning_report(b, AveragingParams(0.0, T))
+        assert rep.abs_zeta[0] == T
+        assert rep.inv_zeta_bound[0] == rep.psi[0] == 1.0 / T
+        assert np.all(np.isinf(rep.inv_zeta_bound[1:])) and np.all(np.isinf(rep.psi[1:]))
+        lam = b.lambdas[1]
+        rep = conditioning_report(b, AveragingParams(1j * lam, T))  # s_2 = 0 only
+        assert rep.abs_zeta[1] == pytest.approx(T, rel=1e-15)
+        assert rep.inv_zeta_bound[1] == 1.0 / T
+        want_psi = math.sqrt(2.0) * lam / abs(np.exp(1j * lam * T) - 1.0)  # 0/0 at r = 0 only
+        assert rep.psi[1] == pytest.approx(want_psi, rel=1e-12)
+        assert np.isinf(rep.inv_zeta_bound[0])
+
     def test_csv_and_summary(self, tmp_path):
         b = make_dirichlet_basis(1.0, 3, 0.0)
         rep = conditioning_report(b, PARAMS)

@@ -152,14 +152,40 @@ class TestNorms:
                 sobolev_norm(c, 2)
 
 
+def _product_form_norm(v):
+    """The order-0 norm as it was taken, times an array of N ones."""
+    ones = np.ones(v.size)
+    with np.errstate(over="ignore"):
+        norm = np.sqrt((ones * (v.real**2 + v.imag**2)).sum())
+        if np.isfinite(norm):
+            return float(norm)
+        m = np.abs(v).max()
+        c = v / m
+        return float(m * np.sqrt((ones * (c.real**2 + c.imag**2)).sum()))
+
+
 class TestNormWeights:
     def test_built_once_per_basis_and_order_read_only(self):
         b = make_periodic_basis(1.0, 5)
-        for order, want in ((0, np.ones(5)), (1, b.lambdas + 1.0), (2, b.lambdas**2 + 1.0)):
+        for order, want in ((1, b.lambdas + 1.0), (2, b.lambdas**2 + 1.0)):
             w = _norm_weights(b, order)
             assert np.array_equal(w, want)
             assert not w.flags.writeable
             assert _norm_weights(b, order) is w
+
+    def test_order_zero_keeps_no_array_and_no_bit_moves(self):
+        # unit weights are skipped, not multiplied: x * 1.0 == x exactly
+        rng = np.random.default_rng(21)
+        for make in (make_dirichlet_basis, make_periodic_basis):
+            b = make(1.0, 4096)
+            v = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+            v *= 10.0 ** rng.uniform(-160.0, 160.0, 4096)  # some squares overflow
+            assert _norm_weights(b, 0) is None
+            assert sobolev_norm(ModeCoefficients(v, b), 0) == _product_form_norm(v)
+            traj = sample_trajectory(ModeCoefficients(v, b), 1.0, 4)
+            want = max(_product_form_norm(row) for row in traj.states)
+            assert trajectory_sup_norm(traj, 0) == want
+            assert b._weights == {}
 
     def test_nonpositive_weights_refused_on_every_call(self):
         # a basis altered after its checks ran, as a hand-built one could be
