@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .evolve import _map_blocks, _row_blocks
 from .spectral import ModeCoefficients, SpectralBasis, _norm_weights, _write_csv
 
 
@@ -79,10 +80,25 @@ def _zeta_values(r: complex, T: float, lam) -> np.ndarray:
 def _factors(basis: SpectralBasis, params: AveragingParams) -> np.ndarray:
     """Read-only zeta_k of every mode of ``basis``, evaluated once per
     (basis, params): ``params`` keeps the array of the last basis it met,
-    so one solve chain (forward map, inversion, report) evaluates once."""
+    so one solve chain (forward map, inversion, report) evaluates once.
+
+    zeta_k depends on lambda_k alone, so it is evaluated once per distinct
+    eigenvalue (the basis's _distinct map) and gathered.  The distinct values
+    go through _zeta_values in chunks of _row_blocks (rows of one value),
+    which run on threads from _THREAD_MIN_VALUES modes on.  The kernel is
+    elementwise, so every value is bitwise the one of a single evaluation
+    over all modes."""
     memo = params._memo
     if memo is None or memo[0] is not basis:
-        z = _zeta_values(params.r, params.T, basis.lambdas)
+        lam = basis.lambdas if basis._distinct is None else basis._distinct[0]
+        z = np.empty(lam.size, dtype=complex)
+
+        def fill(k):
+            z[k] = _zeta_values(params.r, params.T, lam[k])
+
+        _map_blocks(fill, _row_blocks(lam.size, 1), basis.mode_count)
+        if basis._distinct is not None:
+            z = z.take(basis._distinct[1])
         z.setflags(write=False)
         memo = (basis, z)
         object.__setattr__(params, "_memo", memo)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericError
 from .spectral import ModeCoefficients, SpectralBasis, _norm_weights, _weighted_norm, _write_csv, basis_to_json
 
 # beyond this phase magnitude, reduce mod 2*pi before exponentiating to limit
@@ -20,13 +20,20 @@ _PHASE_REDUCE = 1.0e8
 # the result of the next operation on it
 _ELIDE_VALUES = 16384
 
-# rows of at least this many values are filled and reduced on threads: on a
-# 2-vCPU VM, two threads took 1.1-1.2x the serial time of a 33-row trajectory
-# plus its two sup norms at N <= 24576 and 0.5-0.9x from N = 2^15 on, so 2^16
-# keeps a margin
+# rows of at least this many values are filled and reduced on threads, and
+# the factors of a basis of at least this many modes evaluated on threads: on
+# a 2-vCPU VM, two threads took 1.1-1.2x the serial time of a 33-row
+# trajectory plus its two sup norms at N <= 24576 and 0.5-0.9x from N = 2^15
+# on, so 2^16 keeps a margin
 _THREAD_MIN_VALUES = 1 << 16
 # at most this many threads, each holding one row's temporaries
 _MAX_THREADS = 4
+
+# a fill of at least this many values takes its phases and exps once per
+# distinct eigenvalue and gathers them: on a 2-vCPU VM, periodic bases took
+# 0.7x the time of the plain fill for 33 rows at N = 64 and for one row at
+# N = 4096, but 1.1x for one row at N = 64 and about 1.0x at N = 1024
+_GATHER_MIN_VALUES = 2048
 
 
 def _check_times(times) -> np.ndarray:
@@ -43,7 +50,10 @@ def _check_times(times) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Ascending sample times; row j of the read-only complex (len(times), N)
-    array ``states`` holds the coefficients of u(times[j]) on ``basis``."""
+    array ``states`` holds the coefficients of u(times[j]) on ``basis``.
+
+    Built by hand, it checks its times and states; the package's producers
+    check each block of rows as they fill it instead (_trusted_trajectory)."""
 
     times: np.ndarray
     states: np.ndarray
@@ -71,12 +81,12 @@ def _row_blocks(n_rows: int, n: int):
     return range(n_rows) if b == 1 else [slice(i, i + b) for i in range(0, n_rows, b)]
 
 
-def _map_blocks(fn, n_rows: int, n: int) -> list:
-    """[fn(k) for k in _row_blocks(n_rows, n)], spread over threads when a row
-    holds at least _THREAD_MIN_VALUES values and the process may run on more
-    than one CPU (numpy drops the GIL in its loops).  Each block's result is
-    the serial one, and the first block to raise raises here."""
-    blocks = _row_blocks(n_rows, n)
+def _map_blocks(fn, blocks, n: int) -> list:
+    """[fn(k) for k in blocks], spread over threads when n, the values of a
+    row or the modes of a basis, is at least _THREAD_MIN_VALUES and the
+    process may run on more than one CPU (numpy drops the GIL in its loops).
+    Each block's result is the serial one, and the first block to raise
+    raises here."""
     workers = 1
     if n >= _THREAD_MIN_VALUES and hasattr(os, "sched_getaffinity"):
         workers = min(len(os.sched_getaffinity(0)), len(blocks), _MAX_THREADS)
@@ -88,33 +98,77 @@ def _map_blocks(fn, n_rows: int, n: int) -> list:
         return list(pool.map(fn, blocks))
 
 
-def _evolve(values: np.ndarray, lambdas: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _require_finite(states: np.ndarray, times: np.ndarray) -> None:
+    """Raise NumericError naming the first of ``times`` whose row of
+    ``states`` (one row per time, or one row at a scalar time) overflowed."""
+    if not np.isfinite(states).all():
+        bad = ~np.isfinite(np.atleast_2d(states)).all(axis=-1)
+        t = np.atleast_1d(times)[bad][0]
+        raise NumericError(f"trajectory overflows: the state at t = {t:.17g} is not finite")
+
+
+def _evolve(values: np.ndarray, lambdas: np.ndarray, times: np.ndarray, distinct=None) -> np.ndarray:
     """Rows values * exp(-i lambdas t_j), one per time, shape (len(times), N),
-    filled a block of _row_blocks at a time, bitwise equal to a row loop.  At
-    B = 1 (N >= 8192) each row stays 1-d: numpy elides it from N =
-    _ELIDE_VALUES, but not a (1, N) block, whose bits would differ.  From
-    there on a row is computed in place as the elided exp * values, in that
-    operand order, so that it needs no complex temporaries."""
-    out = np.empty((times.size, values.size), dtype=complex)
+    filled a block of _row_blocks at a time, bitwise equal to a row loop, and
+    each block checked finite (NumericError) as it is filled.  At B = 1 (N >=
+    8192) each row stays 1-d: numpy elides it from N = _ELIDE_VALUES, but not
+    a (1, N) block, whose bits would differ.  From there on a row is computed
+    in place as the elided exp * values, in that operand order, so that it
+    needs no complex temporaries.
+
+    ``distinct`` is the basis's _distinct map of ``lambdas``: from
+    _GATHER_MIN_VALUES values in all rows on, phases and their exps are
+    computed once per distinct eigenvalue and gathered into each row."""
+    n = values.size
+    out = np.empty((times.size, n), dtype=complex)
+    gather = distinct is not None and out.size >= _GATHER_MIN_VALUES
+    lam, index = distinct if gather else (lambdas, None)
     # rounding is monotone, so a row holds a phase above _PHASE_REDUCE exactly
     # when max|lambda| |t| rounds above it: no row is scanned for that
-    lam_max = np.abs(lambdas).max()
+    lam_max = np.abs(lam).max()
 
     def fill(k):
-        phase = lambdas * times[k, None]
-        if np.any(lam_max * np.abs(times[k]) > _PHASE_REDUCE):
-            big = np.abs(phase) > _PHASE_REDUCE
-            phase = np.where(big, np.remainder(phase, 2.0 * np.pi), phase)
-        if values.size < _ELIDE_VALUES:
-            out[k] = values * np.exp(-1j * phase)
-            return
-        row = out[k]
-        np.multiply(-1j, phase, out=row)
-        np.exp(row, out=row)
-        np.multiply(row, values, out=row)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+            phase = lam * times[k, None]
+            if np.any(lam_max * np.abs(times[k]) > _PHASE_REDUCE):
+                np.remainder(phase, 2.0 * np.pi, out=phase, where=np.abs(phase) > _PHASE_REDUCE)
+            row = out[k]
+            if index is not None:
+                e = np.multiply(-1j, phase)
+                np.exp(e, out=e)
+                np.take(e, index, axis=-1, out=row)
+                if n < _ELIDE_VALUES:
+                    np.multiply(values, row, out=row)
+                else:
+                    np.multiply(row, values, out=row)
+            elif n < _ELIDE_VALUES:
+                out[k] = values * np.exp(-1j * phase)
+            else:
+                np.multiply(-1j, phase, out=row)
+                np.exp(row, out=row)
+                np.multiply(row, values, out=row)
+        _require_finite(out[k], times[k])
 
-    _map_blocks(fill, times.size, values.size)
+    _map_blocks(fill, _row_blocks(times.size, n), n)
     return out
+
+
+def _trajectory(values: np.ndarray, basis: SpectralBasis, times: np.ndarray) -> Trajectory:
+    """Trajectory of ``values`` evolved on ``basis`` at ``times``, which
+    _check_times returned.  _evolve has checked every block it filled, so
+    Trajectory's checks of times and states are not run a second time."""
+    states = _evolve(values, basis.lambdas, times, basis._distinct)
+    return _trusted_trajectory(times, states, basis)
+
+
+def _trusted_trajectory(times: np.ndarray, states: np.ndarray, basis: SpectralBasis) -> Trajectory:
+    """Trajectory(times, states, basis) for checked times and finite states of
+    the right shape that no one else holds, without checking them again."""
+    traj = object.__new__(Trajectory)
+    states.setflags(write=False)
+    for name, value in (("times", times), ("states", states), ("basis", basis)):
+        object.__setattr__(traj, name, value)
+    return traj
 
 
 def propagate(xi: ModeCoefficients, t: float) -> ModeCoefficients:
@@ -122,7 +176,8 @@ def propagate(xi: ModeCoefficients, t: float) -> ModeCoefficients:
     t = float(t)
     if not np.isfinite(t):
         raise InvalidArgumentError("time must be finite")
-    return ModeCoefficients(_evolve(xi.values, xi.basis.lambdas, np.array([t]))[0], xi.basis)
+    b = xi.basis
+    return ModeCoefficients(_evolve(xi.values, b.lambdas, np.array([t]), b._distinct)[0], b)
 
 
 def sample_trajectory(xi: ModeCoefficients, T: float, steps: int) -> Trajectory:
@@ -131,8 +186,7 @@ def sample_trajectory(xi: ModeCoefficients, T: float, steps: int) -> Trajectory:
         raise InvalidArgumentError(f"horizon T must be positive, got {T}")
     if int(steps) != steps or steps < 1:
         raise InvalidArgumentError(f"steps must be a positive integer, got {steps}")
-    times = np.linspace(0.0, float(T), int(steps) + 1)
-    return Trajectory(times, _evolve(xi.values, xi.basis.lambdas, times), xi.basis)
+    return _trajectory(xi.values, xi.basis, _check_times(np.linspace(0.0, float(T), int(steps) + 1)))
 
 
 def trajectory_sup_norm(traj: Trajectory, order: int) -> float:
@@ -142,7 +196,8 @@ def trajectory_sup_norm(traj: Trajectory, order: int) -> float:
     w = _norm_weights(traj.basis, order)
     # a block of _row_blocks at a time: each row's sum is bitwise a 1-d row's
     s = traj.states
-    return max(_map_blocks(lambda k: float(_weighted_norm(s[k], w, order).max()), *s.shape))
+    n = traj.basis.mode_count
+    return max(_map_blocks(lambda k: float(_weighted_norm(s[k], w, order).max()), _row_blocks(len(s), n), n))
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -19,8 +19,10 @@ import numpy as np
 
 from .averaging import AveragingParams, _cexpm1, _factors
 from .errors import DegenerateModeError, IllPosedError
-from .evolve import Trajectory, _check_times, _evolve
+from .evolve import Trajectory, _check_times, _require_finite, _trajectory, _trusted_trajectory
 from .spectral import ModeCoefficients, SpectralBasis, _write_csv, make_custom_basis, unit_floor_shift
+
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 # relative to the largest factor magnitude (floored at 1); below it, division
 # is refused and the offending modes reported
@@ -65,8 +67,7 @@ def reconstruct_solution(
     / (exp((r - i lambda_k) T) - 1); the t = 0 slice equals recover_initial.
     """
     xi = recover_initial(mu, params, allow_ill_posed=allow_ill_posed)
-    t = _check_times(times)
-    return Trajectory(t, _evolve(xi.values, mu.basis.lambdas, t), mu.basis)
+    return _trajectory(xi.values, mu.basis, _check_times(times))
 
 
 def _recover_shifted(mu: ModeCoefficients, params: AveragingParams, allow_ill_posed: bool):
@@ -103,9 +104,17 @@ def reconstruct_via_shift(
 ) -> Trajectory:
     """Trajectory built on the shifted basis, mapped back by exp(i q t)."""
     q, xi_bar = _recover_shifted(mu, params, allow_ill_posed)
-    t = _check_times(times)
-    rows = _evolve(xi_bar.values, xi_bar.basis.lambdas, t)
-    return Trajectory(t, np.exp(1j * q * t)[:, None] * rows, mu.basis)
+    u_bar = _trajectory(xi_bar.values, xi_bar.basis, _check_times(times))
+    return _scaled(u_bar, 1j * q, mu.basis)
+
+
+def _scaled(u: Trajectory, rate: complex, basis: SpectralBasis) -> Trajectory:
+    """The states of ``u`` times exp(rate t), on ``basis``; NumericError
+    names the first time whose state overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = np.exp(rate * u.times)[:, None] * u.states
+    _require_finite(states, u.times)
+    return _trusted_trajectory(u.times, states, basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,10 +179,12 @@ def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> Condit
         r2 = math.inf
     with np.errstate(over="ignore"):
         inv_bound = _quotient(np.hypot(params.r.real, params.r.imag - lam), denom_re, params.T)
-        # hypot only where the sum of squares overflows: elsewhere it would
-        # move the last bit of psi on about one mode in six
-        psi = np.sqrt(r2 + lam**2)
-        lost = ~np.isfinite(psi)
+        # hypot only where the sum of squares overflows or underflows below
+        # the smallest normal double: elsewhere it would move the last bit of
+        # psi on about one mode in six
+        sq = r2 + lam**2
+        psi = np.sqrt(sq)
+        lost = ~np.isfinite(psi) | (sq < _TINY)
         if lost.any():
             psi[lost] = np.hypot(abs(params.r), lam[lost])
         psi = _quotient(psi, denom_full, params.T)
@@ -206,7 +217,7 @@ def potential_shift_solution(
     exp(r t).
     """
     u = reconstruct_solution(mu, params, times, allow_ill_posed=allow_ill_posed)
-    return Trajectory(u.times, np.exp(params.r * u.times)[:, None] * u.states, mu.basis)
+    return _scaled(u, params.r, mu.basis)
 
 
 def report_to_csv(report: ConditioningReport, path) -> None:

@@ -38,6 +38,25 @@ def unit_floor_shift(lambdas) -> float:
     return max(0.0, 1.0 - float(np.min(lambdas)))
 
 
+def _distinct_map(lam: np.ndarray):
+    """(distinct, index) with lam == distinct[index] bit for bit, both
+    read-only, or None when no two eigenvalues are equal.  Per-mode work that
+    depends on lambda_k alone (factors, phases) is done once per distinct
+    value and gathered.  Bit patterns, not float equality, tell values apart:
+    -0.0 and 0.0 give phases with zeros of different sign.  Equal values sit
+    next to each other, as lam is nondecreasing."""
+    bits = lam.view(np.int64)
+    first = np.empty(lam.size, dtype=bool)
+    first[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    if first.all():
+        return None
+    distinct, index = lam[first], np.cumsum(first) - 1
+    distinct.setflags(write=False)
+    index.setflags(write=False)
+    return distinct, index
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralBasis:
     """Descriptor of an orthonormal eigenbasis.
@@ -94,6 +113,7 @@ class SpectralBasis:
         object.__setattr__(self, "c_A", cA)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_weights", {})  # order -> _norm_weights array
+        object.__setattr__(self, "_distinct", _distinct_map(lam))
 
     @property
     def mode_count(self) -> int:

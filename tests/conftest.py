@@ -4,6 +4,9 @@ The quadrature helpers deliberately avoid the closed-form factor code so that
 agreement between the two routes is evidence, not circularity.
 """
 
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -30,6 +33,34 @@ def zeta_calls(monkeypatch):
     monkeypatch.setattr(schrodavg.averaging, "_zeta_values",
                         lambda *a: calls.append(a) or real(*a))
     return calls
+
+
+@pytest.fixture
+def executors(monkeypatch):
+    """Count the thread pools the kernels open, with `cpus` CPUs allowed."""
+    made = []
+
+    class Counting(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    def allow(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        return made
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
+    return allow
+
+
+def runs_of_equal_eigenvalues(N):
+    """N nondecreasing eigenvalues in runs of 1, 2, 3, 1, 2, 3, ... equal
+    values, led by -0.0, 0.0, 0.0: equal as floats, but -0.0 is a run of its
+    own, as its phases carry zeros of the other sign."""
+    starts = np.repeat(np.arange(N), np.resize([1, 2, 3], N))[:N]
+    lam = 0.37 * np.maximum(starts - 1.0, 0.0) ** 2
+    lam[0] = -0.0
+    return lam
 
 
 def power_law_state(basis, seed, p):

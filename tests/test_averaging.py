@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import averaged_mode_by_quadrature, power_law_state, zeta_by_quadrature
+from conftest import (
+    averaged_mode_by_quadrature,
+    power_law_state,
+    runs_of_equal_eigenvalues,
+    zeta_by_quadrature,
+)
 from schrodavg import (
     AveragingParams,
     InvalidArgumentError,
@@ -20,7 +25,8 @@ from schrodavg import (
     zeta_factor,
     zeta_factors,
 )
-from schrodavg.averaging import _zeta_values, zeta_to_csv
+from schrodavg.averaging import _factors, _zeta_values, zeta_to_csv
+from schrodavg.evolve import _ELIDE_VALUES, _THREAD_MIN_VALUES
 
 
 def _solve_chain(xi, params):
@@ -158,6 +164,53 @@ class TestFactorMemo:
         with pytest.raises(ValueError):
             rep.zeta[0] = 0.0
         assert rep.zeta is conditioning_report(b, params).zeta
+
+
+def bits(a):
+    """The bit patterns of a complex array: -0.0 != 0.0, and NaN == NaN."""
+    return a.view(np.int64)
+
+
+class TestDistinctFactors:
+    """zeta_k is evaluated once per distinct eigenvalue and gathered, in
+    chunks that run on threads from _THREAD_MIN_VALUES modes on; every bit
+    must match one evaluation over all modes."""
+
+    BASES = {
+        "periodic-1": lambda: make_periodic_basis(1.0, 1),
+        "periodic-11": lambda: make_periodic_basis(2.0, 11),
+        "periodic-4096": lambda: make_periodic_basis(1.0, 4096),
+        "runs": lambda: make_custom_basis(runs_of_equal_eigenvalues(50)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BASES))
+    @pytest.mark.parametrize("r, T", [
+        (0.5 + 0.25j, 1.0), (0j, 2.0 / np.pi), (complex(-0.0, 0.0), 1.0), (complex(-0.0, -0.0), 1.5),
+        (-1.5 + 3.0j, 0.7), (2.0 - 40.0j, 3.0), (1e-170, 1.0),
+    ])
+    def test_equal_to_one_evaluation_over_all_modes(self, kind, r, T):
+        b = self.BASES[kind]()
+        params = AveragingParams(r, T)
+        assert np.array_equal(bits(_factors(b, params)), bits(_zeta_values(params.r, params.T, b.lambdas)))
+
+    @pytest.mark.parametrize("cpus", [2, 8])
+    @pytest.mark.parametrize("runs", [False, True])
+    def test_chunks_on_threads(self, cpus, runs, executors):
+        made = executors(cpus)
+        N = _THREAD_MIN_VALUES + 5
+        if runs:
+            lam = runs_of_equal_eigenvalues(N)
+            # one run over modes 16382..16385, across the chunk edges there
+            lo = _ELIDE_VALUES - 2
+            lam[lo:lo + 4] = lam[lo]
+            b = make_custom_basis(lam)
+        else:
+            b = make_dirichlet_basis(1.0, N)
+        params = AveragingParams(0.3 - 0.8j, 1.7)
+        assert np.array_equal(bits(_factors(b, params)), bits(_zeta_values(params.r, params.T, b.lambdas)))
+        # chunks of 16383 values, one per distinct eigenvalue
+        chunks = -(-(b.mode_count if b._distinct is None else b._distinct[0].size) // (_ELIDE_VALUES - 1))
+        assert made == [(min(cpus, 4, chunks),)]
 
 
 class TestApplyTimeAverage:

@@ -207,6 +207,17 @@ class TestExitCodes:
         assert len(lines) == 1, proc.stderr
         assert json.loads(lines[0])["error"] == "numeric-error"
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_trajectory_exits_four(self, tmp_path, capsys):
+        # lambda t = 1e310 overflows the phases of the forward trajectory
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"basis": {"kind": "custom", "lambdas": [1, 1e300, 1e300, 1e300]},
+                                        "T": 1e10}))
+        assert main(["forward", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 4
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert diag["error"] == "numeric-error"
+        assert "overflows" in diag["message"]
+
     def test_unknown_flag_exits_one(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["forward", "--frobnicate"])

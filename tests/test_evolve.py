@@ -1,14 +1,12 @@
 """Phase evolution, trajectory sampling, sup norms, CSV export."""
 
-import concurrent.futures
 import hashlib
 import json
-import os
 
 import numpy as np
 import pytest
 
-from conftest import power_law_state
+from conftest import power_law_state, runs_of_equal_eigenvalues
 from schrodavg import (
     AveragingParams,
     InvalidArgumentError,
@@ -205,24 +203,6 @@ class TestBlockKernel:
         assert hashlib.sha256(traj.states.tobytes()).hexdigest() == digest
 
 
-@pytest.fixture
-def executors(monkeypatch):
-    """Count the thread pools the kernel opens, with `cpus` CPUs allowed."""
-    made = []
-
-    class Counting(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(args)
-            super().__init__(*args, **kwargs)
-
-    def allow(cpus):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        return made
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counting)
-    return allow
-
-
 class TestThreadedRows:
     """Rows of _THREAD_MIN_VALUES values or more are filled and reduced on
     threads when the process may use several CPUs; every bit must still match
@@ -270,6 +250,68 @@ class TestThreadedRows:
         with pytest.raises(NumericError, match="order-1 norm is not finite"):
             trajectory_sup_norm(traj, 1)
         assert len(made) == (2 if cpus > 1 else 0)
+
+
+class TestDistinctRows:
+    """From _GATHER_MIN_VALUES values on, a fill takes its phases and exps once
+    per distinct eigenvalue and gathers them; every bit, the signs of zeros
+    too, must still match the row-by-row loop."""
+
+    @pytest.mark.parametrize("N", [1, 16, 64, 1000, 8191, 8192, 16384])
+    def test_gather_matches_row_loop(self, N):
+        rng = np.random.default_rng(N)
+        for b in (make_periodic_basis(1.0, N), make_custom_basis(runs_of_equal_eigenvalues(N))):
+            values = rng.normal(size=N) + 1j * rng.normal(size=N)
+            values *= 10.0 ** rng.uniform(-5.0, 5.0, N)
+            # one row and 33 rows, then a horizon whose later rows fold the
+            # phase (lambda t > 1e8)
+            for n_times, T in ((1, 2.0), (33, 2.0), (5, 3.0e7)):
+                times = np.sort(rng.uniform(0.0, T, n_times))
+                got = _evolve(values, b.lambdas, times, b._distinct)
+                ref = row_loop(values, b.lambdas, times)
+                assert np.array_equal(got.view(np.int64), ref.view(np.int64)), (b.kind, n_times, T)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_gather_on_threads(self, cpus, executors):
+        made = executors(cpus)
+        N = _THREAD_MIN_VALUES
+        b = make_periodic_basis(1.0, N)
+        xi = power_law_state(b, 5, 1.0)
+        traj = sample_trajectory(xi, 3.0, 4)
+        ref = row_loop(xi.values, b.lambdas, traj.times)
+        assert np.array_equal(traj.states.view(np.int64), ref.view(np.int64))
+        assert len(made) == (1 if cpus > 1 else 0)
+
+
+class TestOverflow:
+    """A trajectory whose states overflow raises NumericError, which names the
+    first such time, and numpy warns of nothing."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_phase_named(self):
+        # lambda t = 1e310 overflows
+        xi = ModeCoefficients(np.ones(4), make_custom_basis([1.0, 1e300, 1e300, 1e300]))
+        with pytest.raises(NumericError, match="t = 2500000000 is not finite"):
+            sample_trajectory(xi, 1e10, 4)
+        with pytest.raises(NumericError, match="t = 10000000000 is not finite"):
+            propagate(xi, 1e10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_product_named(self):
+        # exp(-i pi/4) turns (a + ia) into about sqrt(2) a = 2.1e308
+        xi = ModeCoefficients([1.5e308 + 1.5e308j], make_custom_basis([np.pi / 4.0]))
+        with pytest.raises(NumericError, match="t = 1 is not finite"):
+            sample_trajectory(xi, 1.0, 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_overflow_on_a_thread_reaches_caller(self, cpus, executors):
+        made = executors(cpus)
+        N = _THREAD_MIN_VALUES
+        b = make_custom_basis(np.r_[np.ones(N - 1), 1e300])
+        with pytest.raises(NumericError, match="t = 5000000000 is not finite"):
+            sample_trajectory(ModeCoefficients(np.ones(N), b), 1e10, 2)
+        assert len(made) == (1 if cpus > 1 else 0)
 
 
 class TestTrajectoryType:

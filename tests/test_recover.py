@@ -13,6 +13,7 @@ from schrodavg import (
     IllPosedError,
     InvalidArgumentError,
     ModeCoefficients,
+    NumericError,
     apply_time_average,
     conditioning_report,
     make_custom_basis,
@@ -28,6 +29,7 @@ from schrodavg import (
     stability_bound,
     zeta_factor,
 )
+from schrodavg.averaging import _cexpm1
 from schrodavg.recover import report_summary, report_to_csv
 
 PARAMS = AveragingParams(1.0, 1.0)
@@ -125,6 +127,17 @@ class TestReconstruct:
         traj = reconstruct_solution(mu, AveragingParams(0.5 + 0.25j, 1.0), times)
         digest = hashlib.sha256(traj.states.tobytes()).hexdigest()
         assert digest == "9ae7fd1fe309f9992d99e83e6d53f0afde7371d5e37c4dfccb25dfe0f01a2996"
+
+    def test_periodic_trajectory_bytes_pinned(self):
+        # recorded before eigenvalues shared by the modes +-m were evaluated
+        # once: at N = 2^16 the rows are filled on threads where there are
+        # several CPUs, and later rows fold the phase (lambda t > 1e8)
+        b = make_periodic_basis(1.0, 1 << 16)
+        mu = power_law_state(b, 16, 3.0)
+        times = np.linspace(0.0, 1.0, 33)
+        traj = reconstruct_solution(mu, AveragingParams(0.5 + 0.25j, 1.0), times)
+        digest = hashlib.sha256(traj.states.tobytes()).hexdigest()
+        assert digest == "4f6f44f3ffa68cf68801a80c73d212f9b2a80686550f546b2636b9fd201b2674"
 
     def test_bad_times_rejected_by_every_route(self):
         b = make_dirichlet_basis(1.0, 4, 0.0)
@@ -274,6 +287,19 @@ class TestConditioningReport:
         assert rep.psi[0] == pytest.approx(1e200 / abs(np.expm1(1e200j)), rel=1e-15)
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r", [1e-170, 1e-300])
+    def test_psi_where_the_sum_of_squares_underflows(self, r):
+        # |r|^2 + lambda_1^2 = r^2 underflows to 0 at lambda_1 = 0; psi_1 =
+        # |r| / |exp(rT) - 1| = 1, as inv_zeta_bound is, and the other modes
+        # keep the bits of the plain square root
+        b = make_periodic_basis(1.0, 4)
+        rep = conditioning_report(b, AveragingParams(r, 1.0))
+        assert rep.psi[0] == rep.inv_zeta_bound[0] == 1.0
+        denom = abs(complex(_cexpm1(np.asarray(complex(r)))))
+        assert np.array_equal(rep.psi[1:], np.sqrt(r**2 + b.lambdas[1:] ** 2) / denom)
+
+
 class TestStabilityBound:
     def test_growing_weight(self):
         assert stability_bound(PARAMS) == pytest.approx(1.163953413738653, rel=1e-15)
@@ -329,6 +355,14 @@ class TestPotentialShift:
             return np.abs(res).max() / np.abs(vals).max()
 
         assert residual(400) / residual(1600) > 12.0
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_named(self):
+        # exp(r t) = exp(900) overflows at t = 300
+        mu = power_law_state(make_dirichlet_basis(1.0, 4), 7, 3.0)
+        with pytest.raises(NumericError, match="t = 300 is not finite"):
+            potential_shift_solution(mu, AveragingParams(3.0, 1.0), [0.0, 300.0])
 
 
 class TestTrajectoryRelation:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from conftest import runs_of_equal_eigenvalues
 from schrodavg import (
     InvalidArgumentError,
     ModeCoefficients,
@@ -194,6 +195,33 @@ class TestNormWeights:
         for _ in range(2):
             with pytest.raises(InvalidArgumentError, match="order-1"):
                 _norm_weights(b, 1)
+
+
+class TestDistinctMap:
+    """A basis keeps its distinct eigenvalues and the index that maps them
+    back to the modes, or None when every eigenvalue is distinct."""
+
+    def test_none_when_every_eigenvalue_differs(self):
+        assert make_dirichlet_basis(1.0, 64)._distinct is None
+        assert make_custom_basis([-1.0, 0.0, 2.0])._distinct is None
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_periodic_basis(1.0, 9),
+        lambda: make_custom_basis(runs_of_equal_eigenvalues(40)),
+    ])
+    def test_gathers_every_bit_back(self, make):
+        b = make()
+        distinct, index = b._distinct
+        assert np.array_equal(distinct[index].view(np.int64), b.lambdas.view(np.int64))
+        assert np.all(np.diff(distinct.view(np.int64)) != 0)
+        assert not distinct.flags.writeable and not index.flags.writeable
+        assert b._weights == {}
+
+    def test_signed_zeros_stay_apart(self):
+        distinct, index = make_custom_basis([-0.0, 0.0, 0.0, 1.0])._distinct
+        assert np.signbit(distinct).tolist() == [True, False, False]
+        assert distinct.tolist() == [0.0, 0.0, 1.0]
+        assert index.tolist() == [0, 1, 1, 2]
 
 
 class TestGridTransforms:
