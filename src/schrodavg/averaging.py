@@ -90,15 +90,15 @@ def _factors(basis: SpectralBasis, params: AveragingParams) -> np.ndarray:
     over all modes."""
     memo = params._memo
     if memo is None or memo[0] is not basis:
-        lam = basis.lambdas if basis._distinct is None else basis._distinct[0]
+        lam, index = basis._distinct
         z = np.empty(lam.size, dtype=complex)
 
         def fill(k):
             z[k] = _zeta_values(params.r, params.T, lam[k])
 
         _map_blocks(fill, _row_blocks(lam.size, 1), basis.mode_count)
-        if basis._distinct is not None:
-            z = z.take(basis._distinct[1])
+        if index is not None:
+            z = z.take(index)
         z.setflags(write=False)
         memo = (basis, z)
         object.__setattr__(params, "_memo", memo)

@@ -29,12 +29,6 @@ _THREAD_MIN_VALUES = 1 << 16
 # at most this many threads, each holding one row's temporaries
 _MAX_THREADS = 4
 
-# a fill of at least this many values takes its phases and exps once per
-# distinct eigenvalue and gathers them: on a 2-vCPU VM, periodic bases took
-# 0.7x the time of the plain fill for 33 rows at N = 64 and for one row at
-# N = 4096, but 1.1x for one row at N = 64 and about 1.0x at N = 1024
-_GATHER_MIN_VALUES = 2048
-
 
 def _check_times(times) -> np.ndarray:
     """Read-only float copy of nonempty, finite, ascending sample times."""
@@ -85,8 +79,8 @@ def _map_blocks(fn, blocks, n: int) -> list:
     """[fn(k) for k in blocks], spread over threads when n, the values of a
     row or the modes of a basis, is at least _THREAD_MIN_VALUES and the
     process may run on more than one CPU (numpy drops the GIL in its loops).
-    Each block's result is the serial one, and the first block to raise
-    raises here."""
+    Each block's result is the serial one, computed under the caller's numpy
+    error handling, and the first block to raise raises here."""
     workers = 1
     if n >= _THREAD_MIN_VALUES and hasattr(os, "sched_getaffinity"):
         workers = min(len(os.sched_getaffinity(0)), len(blocks), _MAX_THREADS)
@@ -94,8 +88,15 @@ def _map_blocks(fn, blocks, n: int) -> list:
         return [fn(k) for k in blocks]
     from concurrent.futures import ThreadPoolExecutor
 
+    # a new thread starts with numpy's default error handling, not the caller's
+    err, call = np.geterr(), np.geterrcall()
+
+    def run(k):
+        with np.errstate(call=call, **err):
+            return fn(k)
+
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, blocks))
+        return list(pool.map(run, blocks))
 
 
 def _require_finite(states: np.ndarray, times: np.ndarray) -> None:
@@ -107,22 +108,21 @@ def _require_finite(states: np.ndarray, times: np.ndarray) -> None:
         raise NumericError(f"trajectory overflows: the state at t = {t:.17g} is not finite")
 
 
-def _evolve(values: np.ndarray, lambdas: np.ndarray, times: np.ndarray, distinct=None) -> np.ndarray:
-    """Rows values * exp(-i lambdas t_j), one per time, shape (len(times), N),
+def _evolve(values: np.ndarray, lam: np.ndarray, times: np.ndarray, index=None) -> np.ndarray:
+    """Rows values * exp(-i lambda_k t_j), one per time, shape (len(times), N),
     filled a block of _row_blocks at a time, bitwise equal to a row loop, and
-    each block checked finite (NumericError) as it is filled.  At B = 1 (N >=
-    8192) each row stays 1-d: numpy elides it from N = _ELIDE_VALUES, but not
-    a (1, N) block, whose bits would differ.  From there on a row is computed
-    in place as the elided exp * values, in that operand order, so that it
-    needs no complex temporaries.
+    each block checked finite (NumericError) as it is filled.  ``lam`` holds
+    each mode's eigenvalue, or, with ``index``, the distinct eigenvalues,
+    lam[index] being the modes' (a basis's _distinct map): then phases and
+    their exps are computed once per distinct eigenvalue and gathered into
+    each row.
 
-    ``distinct`` is the basis's _distinct map of ``lambdas``: from
-    _GATHER_MIN_VALUES values in all rows on, phases and their exps are
-    computed once per distinct eigenvalue and gathered into each row."""
+    At B = 1 (N >= 8192) each row stays 1-d: numpy elides it from N =
+    _ELIDE_VALUES, but not a (1, N) block, whose bits would differ.  A row is
+    computed in place, from N = _ELIDE_VALUES on as the elided exp * values,
+    in that operand order, so that it needs no complex temporary of N values."""
     n = values.size
     out = np.empty((times.size, n), dtype=complex)
-    gather = distinct is not None and out.size >= _GATHER_MIN_VALUES
-    lam, index = distinct if gather else (lambdas, None)
     # rounding is monotone, so a row holds a phase above _PHASE_REDUCE exactly
     # when max|lambda| |t| rounds above it: no row is scanned for that
     lam_max = np.abs(lam).max()
@@ -133,19 +133,14 @@ def _evolve(values: np.ndarray, lambdas: np.ndarray, times: np.ndarray, distinct
             if np.any(lam_max * np.abs(times[k]) > _PHASE_REDUCE):
                 np.remainder(phase, 2.0 * np.pi, out=phase, where=np.abs(phase) > _PHASE_REDUCE)
             row = out[k]
+            e = row if index is None else np.empty(phase.shape, dtype=complex)
+            np.multiply(-1j, phase, out=e)
+            np.exp(e, out=e)
             if index is not None:
-                e = np.multiply(-1j, phase)
-                np.exp(e, out=e)
                 np.take(e, index, axis=-1, out=row)
-                if n < _ELIDE_VALUES:
-                    np.multiply(values, row, out=row)
-                else:
-                    np.multiply(row, values, out=row)
-            elif n < _ELIDE_VALUES:
-                out[k] = values * np.exp(-1j * phase)
+            if n < _ELIDE_VALUES:
+                np.multiply(values, row, out=row)
             else:
-                np.multiply(-1j, phase, out=row)
-                np.exp(row, out=row)
                 np.multiply(row, values, out=row)
         _require_finite(out[k], times[k])
 
@@ -157,7 +152,8 @@ def _trajectory(values: np.ndarray, basis: SpectralBasis, times: np.ndarray) -> 
     """Trajectory of ``values`` evolved on ``basis`` at ``times``, which
     _check_times returned.  _evolve has checked every block it filled, so
     Trajectory's checks of times and states are not run a second time."""
-    states = _evolve(values, basis.lambdas, times, basis._distinct)
+    lam, index = basis._distinct
+    states = _evolve(values, lam, times, index)
     return _trusted_trajectory(times, states, basis)
 
 
@@ -176,8 +172,8 @@ def propagate(xi: ModeCoefficients, t: float) -> ModeCoefficients:
     t = float(t)
     if not np.isfinite(t):
         raise InvalidArgumentError("time must be finite")
-    b = xi.basis
-    return ModeCoefficients(_evolve(xi.values, b.lambdas, np.array([t]), b._distinct)[0], b)
+    lam, index = xi.basis._distinct
+    return ModeCoefficients(_evolve(xi.values, lam, np.array([t]), index)[0], xi.basis)
 
 
 def sample_trajectory(xi: ModeCoefficients, T: float, steps: int) -> Trajectory:

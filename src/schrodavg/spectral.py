@@ -40,17 +40,17 @@ def unit_floor_shift(lambdas) -> float:
 
 def _distinct_map(lam: np.ndarray):
     """(distinct, index) with lam == distinct[index] bit for bit, both
-    read-only, or None when no two eigenvalues are equal.  Per-mode work that
-    depends on lambda_k alone (factors, phases) is done once per distinct
-    value and gathered.  Bit patterns, not float equality, tell values apart:
-    -0.0 and 0.0 give phases with zeros of different sign.  Equal values sit
-    next to each other, as lam is nondecreasing."""
+    read-only, or (lam, None) when no two eigenvalues are equal.  Per-mode
+    work that depends on lambda_k alone (factors, phases) is done once per
+    distinct value and gathered.  Bit patterns, not float equality, tell
+    values apart: -0.0 and 0.0 give phases with zeros of different sign.
+    Equal values sit next to each other, as lam is nondecreasing."""
     bits = lam.view(np.int64)
     first = np.empty(lam.size, dtype=bool)
     first[0] = True
     np.not_equal(bits[1:], bits[:-1], out=first[1:])
     if first.all():
-        return None
+        return lam, None
     distinct, index = lam[first], np.cumsum(first) - 1
     distinct.setflags(write=False)
     index.setflags(write=False)

@@ -209,8 +209,19 @@ class TestDistinctFactors:
         params = AveragingParams(0.3 - 0.8j, 1.7)
         assert np.array_equal(bits(_factors(b, params)), bits(_zeta_values(params.r, params.T, b.lambdas)))
         # chunks of 16383 values, one per distinct eigenvalue
-        chunks = -(-(b.mode_count if b._distinct is None else b._distinct[0].size) // (_ELIDE_VALUES - 1))
+        chunks = -(-b._distinct[0].size // (_ELIDE_VALUES - 1))
         assert made == [(min(cpus, 4, chunks),)]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_caller_error_handling_on_threads(self, cpus, executors):
+        # exp(Re(r) T) = exp(1000) overflows: the caller's over="raise" holds
+        # on the chunks' threads as it does inline
+        made = executors(cpus)
+        b = make_dirichlet_basis(1.0, _THREAD_MIN_VALUES)
+        xi = ModeCoefficients(np.ones(b.mode_count), b)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            apply_time_average(xi, AveragingParams(1000.0, 1.0))
+        assert len(made) == (1 if cpus > 1 else 0)
 
 
 class TestApplyTimeAverage:

@@ -253,9 +253,9 @@ class TestThreadedRows:
 
 
 class TestDistinctRows:
-    """From _GATHER_MIN_VALUES values on, a fill takes its phases and exps once
-    per distinct eigenvalue and gathers them; every bit, the signs of zeros
-    too, must still match the row-by-row loop."""
+    """On a basis with equal eigenvalues, a fill takes its phases and exps
+    once per distinct eigenvalue and gathers them; every bit, the signs of
+    zeros too, must still match the row-by-row loop."""
 
     @pytest.mark.parametrize("N", [1, 16, 64, 1000, 8191, 8192, 16384])
     def test_gather_matches_row_loop(self, N):
@@ -263,11 +263,12 @@ class TestDistinctRows:
         for b in (make_periodic_basis(1.0, N), make_custom_basis(runs_of_equal_eigenvalues(N))):
             values = rng.normal(size=N) + 1j * rng.normal(size=N)
             values *= 10.0 ** rng.uniform(-5.0, 5.0, N)
+            lam, index = b._distinct
             # one row and 33 rows, then a horizon whose later rows fold the
             # phase (lambda t > 1e8)
             for n_times, T in ((1, 2.0), (33, 2.0), (5, 3.0e7)):
                 times = np.sort(rng.uniform(0.0, T, n_times))
-                got = _evolve(values, b.lambdas, times, b._distinct)
+                got = _evolve(values, lam, times, index)
                 ref = row_loop(values, b.lambdas, times)
                 assert np.array_equal(got.view(np.int64), ref.view(np.int64)), (b.kind, n_times, T)
 

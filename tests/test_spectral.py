@@ -199,11 +199,17 @@ class TestNormWeights:
 
 class TestDistinctMap:
     """A basis keeps its distinct eigenvalues and the index that maps them
-    back to the modes, or None when every eigenvalue is distinct."""
+    back to the modes, or its eigenvalues and None when every one is
+    distinct."""
 
-    def test_none_when_every_eigenvalue_differs(self):
-        assert make_dirichlet_basis(1.0, 64)._distinct is None
-        assert make_custom_basis([-1.0, 0.0, 2.0])._distinct is None
+    @pytest.mark.parametrize("make", [
+        lambda: make_dirichlet_basis(1.0, 64),
+        lambda: make_custom_basis([-1.0, 0.0, 2.0]),
+    ])
+    def test_no_index_when_every_eigenvalue_differs(self, make):
+        b = make()
+        distinct, index = b._distinct
+        assert distinct is b.lambdas and index is None
 
     @pytest.mark.parametrize("make", [
         lambda: make_periodic_basis(1.0, 9),
