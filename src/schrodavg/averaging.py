@@ -12,6 +12,7 @@ with the removable singularity at r = i lambda_k taking the value T.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,14 +21,18 @@ from .errors import InvalidArgumentError
 from .evolve import _map_blocks, _row_blocks
 from .spectral import ModeCoefficients, SpectralBasis, _norm_weights, _write_csv
 
+# relative to the largest factor magnitude (floored at 1); at or below it a
+# mode is degenerate: inversion refuses to divide by it and names it
+_DEGENERATE_REL = 1.0e-14
+
 
 @dataclass(frozen=True, eq=False)
 class AveragingParams:
     """Weight exponent r (complex, 1/time) and horizon T (> 0, time).
 
-    The object also keeps the factors zeta_k of the last basis it was used
+    The object also keeps the per-mode record of the last basis it was used
     with (see _factors), so one object per parameter choice, reused across a
-    solve, evaluates them once.
+    solve, evaluates the factors and their verdicts once.
     """
 
     r: complex
@@ -42,7 +47,7 @@ class AveragingParams:
             raise InvalidArgumentError(f"T must be positive and finite, got {T}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "T", T)
-        object.__setattr__(self, "_memo", None)  # (basis, z) of _factors
+        object.__setattr__(self, "_memo", None)  # the _ModeRecord of _factors
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,15 +77,21 @@ def _cexpm1(z: np.ndarray) -> np.ndarray:
 
 def _zeta_values(r: complex, T: float, lam) -> np.ndarray:
     s = r - 1j * np.asarray(lam, dtype=float)
+    at_zero = s == 0
     with np.errstate(invalid="ignore"):
-        out = np.where(s == 0, complex(T), _cexpm1(s * T) / np.where(s == 0, 1.0, s))
-    return out
+        return np.where(at_zero, complex(T), _cexpm1(s * T) / np.where(at_zero, 1.0, s))
 
 
-def _factors(basis: SpectralBasis, params: AveragingParams) -> np.ndarray:
-    """Read-only zeta_k of every mode of ``basis``, evaluated once per
-    (basis, params): ``params`` keeps the array of the last basis it met,
-    so one solve chain (forward map, inversion, report) evaluates once.
+# what one (basis, params) pair gives its modes: the factors z, |z|, the
+# 0-based degenerate modes (|z_k| <= threshold), the threshold and min |z|;
+# the arrays are read-only
+_ModeRecord = namedtuple("_ModeRecord", "basis z abs_z degenerate threshold min_abs")
+
+
+def _factors(basis: SpectralBasis, params: AveragingParams) -> _ModeRecord:
+    """The _ModeRecord of every mode of ``basis``, built once per (basis,
+    params): ``params`` keeps the record of the last basis it met, so one
+    solve chain (forward map, inversion, report) evaluates once.
 
     zeta_k depends on lambda_k alone, so it is evaluated once per distinct
     eigenvalue (the basis's _distinct map) and gathered.  The distinct values
@@ -89,7 +100,7 @@ def _factors(basis: SpectralBasis, params: AveragingParams) -> np.ndarray:
     elementwise, so every value is bitwise the one of a single evaluation
     over all modes."""
     memo = params._memo
-    if memo is None or memo[0] is not basis:
+    if memo is None or memo.basis is not basis:
         lam, index = basis._distinct
         z = np.empty(lam.size, dtype=complex)
 
@@ -99,10 +110,14 @@ def _factors(basis: SpectralBasis, params: AveragingParams) -> np.ndarray:
         _map_blocks(fill, _row_blocks(lam.size, 1), basis.mode_count)
         if index is not None:
             z = z.take(index)
-        z.setflags(write=False)
-        memo = (basis, z)
+        absz = np.abs(z)
+        threshold = _DEGENERATE_REL * max(1.0, float(absz.max()))
+        bad = np.flatnonzero(absz <= threshold)
+        for a in (z, absz, bad):
+            a.setflags(write=False)
+        memo = _ModeRecord(basis, z, absz, bad, threshold, float(absz.min()))
         object.__setattr__(params, "_memo", memo)
-    return memo[1]
+    return memo
 
 
 def zeta_factor(r: complex, T: float, lam: float) -> complex:
@@ -117,12 +132,12 @@ def zeta_factor(r: complex, T: float, lam: float) -> complex:
 
 def zeta_factors(basis: SpectralBasis, params: AveragingParams) -> ZetaFactors:
     """All per-mode factors for the basis eigenvalues."""
-    return ZetaFactors(_factors(basis, params), basis)
+    return ZetaFactors(_factors(basis, params).z, basis)
 
 
 def apply_time_average(xi: ModeCoefficients, params: AveragingParams) -> ModeCoefficients:
     """Image of the state under the averaging map: gamma_k = zeta_k alpha_k."""
-    return ModeCoefficients(_factors(xi.basis, params) * xi.values, xi.basis)
+    return ModeCoefficients(_factors(xi.basis, params).z * xi.values, xi.basis)
 
 
 def forward_smoothing_constant(basis: SpectralBasis, params: AveragingParams) -> float:
@@ -132,7 +147,7 @@ def forward_smoothing_constant(basis: SpectralBasis, params: AveragingParams) ->
     mode at the maximizing k attains equality, so the bound is tight on the
     truncated basis.
     """
-    z = np.abs(_factors(basis, params))
+    z = _factors(basis, params).abs_z
     return float(np.max(np.sqrt(_norm_weights(basis, 2) / _norm_weights(basis, 1)) * z))
 
 

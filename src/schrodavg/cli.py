@@ -294,10 +294,10 @@ def _run_sweep(cfg, out, report, basis, _, mu):
     for re in r_re:
         params = AveragingParams(complex(re, cfg.r.imag), cfg.T)
         # one factor evaluation per point; delta / z would move the error bits
-        z = _inverted_factors(basis, params, False)
-        diff = ModeCoefficients((mu.values + delta) / z - mu.values / z, basis)
+        rec = _inverted_factors(basis, params, False)
+        diff = ModeCoefficients((mu.values + delta) / rec.z - mu.values / rec.z, basis)
         err_h1 = sobolev_norm(diff, 1)
-        min_abs.append(float(np.abs(z).min()))
+        min_abs.append(rec.min_abs)
         errs_h.append(sobolev_norm(diff, 0))
         errs_h1.append(err_h1)
         amps.append(err_h1 / noise_h2 if noise_h2 > 0 else 0.0)

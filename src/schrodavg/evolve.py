@@ -12,8 +12,9 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericError
 from .spectral import ModeCoefficients, SpectralBasis, _norm_weights, _weighted_norm, _write_csv, basis_to_json
 
-# beyond this phase magnitude, reduce mod 2*pi before exponentiating to limit
-# argument-reduction error on long-time evaluations
+# beyond this phase magnitude, fold mod 2*pi before exponentiating: for speed
+# (glibc reduces large arguments slowly), not accuracy: a direct exp is within
+# 1 ulp from 1e8 to 1e14, and the fold adds up to 3.9e-17 |phase|
 _PHASE_REDUCE = 1.0e8
 
 # numpy elides a temporary of 256 KiB or more, 16384 complex values, into
@@ -35,7 +36,7 @@ def _check_times(times) -> np.ndarray:
     t = np.array(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise InvalidArgumentError("times must be a nonempty 1-d vector")
-    if not np.isfinite(t).all() or np.any(np.diff(t) < 0):
+    if not np.isfinite(t).all() or (t[1:] < t[:-1]).any():
         raise InvalidArgumentError("times must be finite and ascending")
     t.setflags(write=False)
     return t
@@ -102,7 +103,7 @@ def _map_blocks(fn, blocks, n: int) -> list:
 def _require_finite(states: np.ndarray, times: np.ndarray) -> None:
     """Raise NumericError naming the first of ``times`` whose row of
     ``states`` (one row per time, or one row at a scalar time) overflowed."""
-    if not np.isfinite(states).all():
+    if not np.isfinite(states.view(float)).all():  # one scan of both parts
         bad = ~np.isfinite(np.atleast_2d(states)).all(axis=-1)
         t = np.atleast_1d(times)[bad][0]
         raise NumericError(f"trajectory overflows: the state at t = {t:.17g} is not finite")
@@ -123,14 +124,15 @@ def _evolve(values: np.ndarray, lam: np.ndarray, times: np.ndarray, index=None) 
     in that operand order, so that it needs no complex temporary of N values."""
     n = values.size
     out = np.empty((times.size, n), dtype=complex)
-    # rounding is monotone, so a row holds a phase above _PHASE_REDUCE exactly
-    # when max|lambda| |t| rounds above it: no row is scanned for that
-    lam_max = np.abs(lam).max()
+    # rounding is monotone, so a block holds a phase above _PHASE_REDUCE exactly
+    # when max|lambda| max|t| does; lam and times ascend: both sit at their ends
+    lam_max = max(-float(lam[0]), float(lam[-1]))
 
     def fill(k):
+        t = times[k, None]
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
-            phase = lam * times[k, None]
-            if np.any(lam_max * np.abs(times[k]) > _PHASE_REDUCE):
+            phase = lam * t
+            if lam_max * max(-float(t.flat[0]), float(t.flat[-1])) > _PHASE_REDUCE:
                 np.remainder(phase, 2.0 * np.pi, out=phase, where=np.abs(phase) > _PHASE_REDUCE)
             row = out[k]
             e = row if index is None else np.empty(phase.shape, dtype=complex)
@@ -193,7 +195,7 @@ def trajectory_sup_norm(traj: Trajectory, order: int) -> float:
     # a block of _row_blocks at a time: each row's sum is bitwise a 1-d row's
     s = traj.states
     n = traj.basis.mode_count
-    return max(_map_blocks(lambda k: float(_weighted_norm(s[k], w, order).max()), _row_blocks(len(s), n), n))
+    return max(_map_blocks(lambda k: _weighted_norm(s[k], w, order), _row_blocks(len(s), n), n))
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

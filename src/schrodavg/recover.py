@@ -17,40 +17,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import AveragingParams, _cexpm1, _factors
+from .averaging import AveragingParams, _cexpm1, _factors, _ModeRecord
 from .errors import DegenerateModeError, IllPosedError
 from .evolve import Trajectory, _check_times, _require_finite, _trajectory, _trusted_trajectory
 from .spectral import ModeCoefficients, SpectralBasis, _write_csv, make_custom_basis, unit_floor_shift
 
 _TINY = np.finfo(float).tiny  # the smallest normal double
 
-# relative to the largest factor magnitude (floored at 1); below it, division
-# is refused and the offending modes reported
-_DEGENERATE_REL = 1.0e-14
 
-
-def _inverted_factors(basis: SpectralBasis, params: AveragingParams, allow_ill_posed: bool):
-    z = _factors(basis, params)
-    absz = np.abs(z)
-    threshold = _DEGENERATE_REL * max(1.0, float(absz.max(initial=0.0)))
-    bad = np.flatnonzero(absz <= threshold)
-    if bad.size:
+def _inverted_factors(basis: SpectralBasis, params: AveragingParams, allow_ill_posed: bool) -> _ModeRecord:
+    """The _ModeRecord of (basis, params), once inversion may divide by its z."""
+    rec = _factors(basis, params)
+    if rec.degenerate.size:
         # checked before the ill-posedness gate: vanishing factors are the
         # stronger obstruction and exactly what the Re r = 0 regime produces
-        raise DegenerateModeError(bad + 1, threshold)
+        raise DegenerateModeError(rec.degenerate + 1, rec.threshold)
     if params.r.real == 0.0 and not allow_ill_posed:
         raise IllPosedError(
             "Re r = 0: inversion is ill-posed (factors can vanish and the "
             "stability constant diverges); pass allow_ill_posed=True to force"
         )
-    return z
+    return rec
 
 
 def recover_initial(
     mu: ModeCoefficients, params: AveragingParams, *, allow_ill_posed: bool = False
 ) -> ModeCoefficients:
     """Initial state with alpha_k = gamma_k / zeta_k."""
-    z = _inverted_factors(mu.basis, params, allow_ill_posed)
+    z = _inverted_factors(mu.basis, params, allow_ill_posed).z
     return ModeCoefficients(mu.values / z, mu.basis)
 
 
@@ -165,8 +159,7 @@ def _quotient(num: np.ndarray, den: float, T: float) -> np.ndarray:
 def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> ConditioningReport:
     """Diagnostic report; never raises, even in the ill-posed regime."""
     lam = basis.lambdas
-    z = _factors(basis, params)
-    absz = np.abs(z)
+    rec = _factors(basis, params)
     denom_re = _abs_expm1(params.r.real * params.T)
     # |exp(rT) - 1| >= |exp(Re r T) - 1|, so it overflows whenever that does
     denom_full = (
@@ -192,11 +185,11 @@ def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> Condit
     return ConditioningReport(
         basis=basis,
         params=params,
-        zeta=z,
-        abs_zeta=absz,
+        zeta=rec.z,
+        abs_zeta=rec.abs_z,
         inv_zeta_bound=inv_bound,
         psi=psi,
-        min_abs_zeta=float(absz.min()),
+        min_abs_zeta=rec.min_abs,
         well_posed=params.r.real != 0.0,
         stability_bound=float(stab),
         q=unit_floor_shift(lam),

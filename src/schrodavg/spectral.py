@@ -14,6 +14,7 @@ callable producing eigenfunction samples for grid work.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -30,12 +31,18 @@ _KINDS = (DIRICHLET, PERIODIC, CUSTOM)
 
 
 def unit_floor_shift(lambdas) -> float:
-    """Smallest nonnegative shift q such that min(lambdas) + q >= 1.
+    """Smallest nonnegative shift q such that min(lambdas) + q >= 1 in floating
+    point: 1 - min(lambdas), raised a double at a time where that sum rounds
+    below 1 (from |min| ~ 2^53 on, and at ties such as -(1 + 2^-52)).
 
     Used both as the default norm shift c_A and as the spectral translation
     that normalizes eigenvalues before inversion.
     """
-    return max(0.0, 1.0 - float(np.min(lambdas)))
+    lam_min = float(np.min(lambdas))
+    q = max(0.0, 1.0 - lam_min)
+    while lam_min + q < 1.0:
+        q = math.nextafter(q, math.inf)
+    return q
 
 
 def _distinct_map(lam: np.ndarray):
@@ -190,7 +197,7 @@ class ModeCoefficients:
             raise InvalidArgumentError(
                 f"coefficient length {v.size} != basis mode count {self.basis.mode_count}"
             )
-        if not np.all(np.isfinite(v.real) & np.isfinite(v.imag)):
+        if not np.isfinite(v).all():  # a complex is finite when both parts are
             raise InvalidArgumentError("coefficients must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -248,11 +255,11 @@ def _norm_weights(basis: SpectralBasis, order: int) -> np.ndarray | None:
     return w
 
 
-def _weighted_norm(values: np.ndarray, w: np.ndarray | None, order: int) -> np.ndarray:
-    """sqrt(sum w |c|^2) over the last axis, with w = 1 where w is None.  Where
-    the plain sum overflows it is redone on c / max|c|, so finite norms keep
-    their bits; a norm still not finite (the weights overflow, or the norm
-    itself) raises NumericError."""
+def _weighted_norm(values: np.ndarray, w: np.ndarray | None, order: int) -> float:
+    """Largest row norm sqrt(sum w |c|^2) over the last axis of ``values``,
+    w = 1 where w is None.  Where the plain sum overflows it is redone on
+    c / max|c|, so finite norms keep their bits; a largest norm still not
+    finite (the weights or a norm overflow; max passes NaN on) raises NumericError."""
 
     def norm_of(c):
         sq = c.real**2 + c.imag**2
@@ -260,19 +267,20 @@ def _weighted_norm(values: np.ndarray, w: np.ndarray | None, order: int) -> np.n
 
     with np.errstate(over="ignore", invalid="ignore"):
         norm = norm_of(values)
-        if np.isfinite(norm).all():
-            return norm
+        top = float(norm.max())
+        if math.isfinite(top):
+            return top
         m = np.abs(values).max(axis=-1, keepdims=True)
         scaled = m[..., 0] * norm_of(values / m)
-        norm = np.where(np.isfinite(norm), norm, scaled)
-    if not np.isfinite(norm).all():
+        top = float(np.where(np.isfinite(norm), norm, scaled).max())
+    if not math.isfinite(top):
         raise NumericError(f"order-{order} norm is not finite: its weights or its value overflow")
-    return norm
+    return top
 
 
 def sobolev_norm(c: ModeCoefficients, order: int) -> float:
     """Weighted l2 norm of order 0, 1 or 2 (weights 1, lam+c_A, lam^2+c_A)."""
-    return float(_weighted_norm(c.values, _norm_weights(c.basis, order), order))
+    return _weighted_norm(c.values, _norm_weights(c.basis, order), order)
 
 
 def _mode_matrix(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from conftest import (
 )
 from schrodavg import (
     AveragingParams,
+    DegenerateModeError,
     InvalidArgumentError,
     ModeCoefficients,
     apply_time_average,
@@ -166,6 +167,45 @@ class TestFactorMemo:
         assert rep.zeta is conditioning_report(b, params).zeta
 
 
+    def test_report_shares_the_read_only_abs_zeta(self):
+        b = make_dirichlet_basis(1.0, 4)
+        params = AveragingParams(1.0, 1.0)
+        rep = conditioning_report(b, params)
+        assert rep.abs_zeta is conditioning_report(b, params).abs_zeta
+        with pytest.raises(ValueError):
+            rep.abs_zeta[0] = 0.0
+
+    def test_repeat_refusal_names_the_same_modes(self):
+        # acceptance test 04's point: every mode turns a full revolution
+        b = make_dirichlet_basis(1.0, 128)
+        params = AveragingParams(0.0, 2.0 / np.pi)
+        mu = power_law_state(b, 3, 2.0)
+        refusals = []
+        for _ in range(2):  # the second reads the memo
+            with pytest.raises(DegenerateModeError) as info:
+                recover_initial(mu, params)
+            refusals.append((info.value.modes, info.value.threshold))
+        assert refusals[0] == refusals[1]
+        assert refusals[0][0] == list(range(1, 129))
+
+    @pytest.mark.parametrize("kind", sorted(BASES))
+    @pytest.mark.parametrize("r, T", [(0.3 + 2.0j, 0.9), (0j, 2.0 / np.pi)])
+    def test_memoised_record_equals_fresh_evaluation(self, kind, r, T):
+        b = self.BASES[kind]()
+        params = AveragingParams(r, T)
+        _factors(b, params)
+        hit = _factors(b, params)
+        assert hit is params._memo
+        fresh = _factors(b, AveragingParams(r, T))
+        absz = np.abs(_zeta_values(r, T, b.lambdas))
+        threshold = 1e-14 * max(1.0, float(absz.max()))
+        for rec in (hit, fresh):
+            assert np.array_equal(rec.abs_z, absz)
+            assert rec.threshold == threshold
+            assert rec.min_abs == float(absz.min())
+            assert np.array_equal(rec.degenerate, np.flatnonzero(absz <= threshold))
+
+
 def bits(a):
     """The bit patterns of a complex array: -0.0 != 0.0, and NaN == NaN."""
     return a.view(np.int64)
@@ -191,7 +231,7 @@ class TestDistinctFactors:
     def test_equal_to_one_evaluation_over_all_modes(self, kind, r, T):
         b = self.BASES[kind]()
         params = AveragingParams(r, T)
-        assert np.array_equal(bits(_factors(b, params)), bits(_zeta_values(params.r, params.T, b.lambdas)))
+        assert np.array_equal(bits(_factors(b, params).z), bits(_zeta_values(params.r, params.T, b.lambdas)))
 
     @pytest.mark.parametrize("cpus", [2, 8])
     @pytest.mark.parametrize("runs", [False, True])
@@ -207,7 +247,7 @@ class TestDistinctFactors:
         else:
             b = make_dirichlet_basis(1.0, N)
         params = AveragingParams(0.3 - 0.8j, 1.7)
-        assert np.array_equal(bits(_factors(b, params)), bits(_zeta_values(params.r, params.T, b.lambdas)))
+        assert np.array_equal(bits(_factors(b, params).z), bits(_zeta_values(params.r, params.T, b.lambdas)))
         # chunks of 16383 values, one per distinct eigenvalue
         chunks = -(-b._distinct[0].size // (_ELIDE_VALUES - 1))
         assert made == [(min(cpus, 4, chunks),)]

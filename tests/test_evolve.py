@@ -22,7 +22,7 @@ from schrodavg import (
     sobolev_norm,
     trajectory_sup_norm,
 )
-from schrodavg.evolve import _THREAD_MIN_VALUES, _evolve, trajectory_to_csv
+from schrodavg.evolve import _THREAD_MIN_VALUES, _check_times, _evolve, _require_finite, trajectory_to_csv
 
 
 class TestPropagate:
@@ -305,6 +305,22 @@ class TestOverflow:
             sample_trajectory(xi, 1.0, 1)
 
     @pytest.mark.filterwarnings("error")
+    def test_overflowing_imaginary_part_alone_named(self):
+        # a rotation by 0.5 keeps the real part at -6.8e307 and takes the
+        # imaginary part to 1.7e308 (cos 0.5 + sin 0.5) = 2.3e308
+        xi = ModeCoefficients([-1.7e308 + 1.7e308j], make_custom_basis([1.0]))
+        with np.errstate(over="ignore"):
+            state = xi.values * np.exp(-0.5j)
+        assert np.isfinite(state.real).all() and not np.isfinite(state.imag).any()
+        with pytest.raises(NumericError, match="t = 0.5 is not finite"):
+            sample_trajectory(xi, 1.0, 2)
+        states = np.ones((3, 2), dtype=complex)
+        states[2, 1] = complex(0.0, -np.inf)
+        states[1, 0] = complex(1.0, np.nan)
+        with pytest.raises(NumericError, match="t = 0.25 is not finite"):
+            _require_finite(states, np.array([0.0, 0.25, 0.5]))
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_overflow_on_a_thread_reaches_caller(self, cpus, executors):
         made = executors(cpus)
@@ -320,6 +336,21 @@ class TestTrajectoryType:
         b = make_dirichlet_basis(1.0, 2, 0.0)
         with pytest.raises(InvalidArgumentError):
             Trajectory(np.array([0.0, -1.0]), np.ones((2, 2)), b)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    def test_nonfinite_time_rejected(self, bad, at):
+        times = [0.0, 0.5, 1.0, 2.0]
+        times[at] = bad
+        with pytest.raises(InvalidArgumentError, match="finite and ascending"):
+            _check_times(times)
+
+    def test_descending_times_rejected_equal_neighbours_kept(self):
+        for times in ([0.0, 1.0, 0.5], [2.0, 1.0], [0.0, 5e-324, 0.0], [-1e308, 1e308, -1e308]):
+            with pytest.raises(InvalidArgumentError, match="finite and ascending"):
+                _check_times(times)
+        for times in ([0.0, 0.0], [-1.0, -1.0, 0.0, 0.0, 3.0], [-0.0, 0.0, -0.0], [-1e308, 1e308], [7.0]):
+            assert np.array_equal(_check_times(times), times)
 
     def test_state_count_must_match(self):
         b = make_dirichlet_basis(1.0, 2, 0.0)

@@ -181,6 +181,19 @@ class TestShiftPath:
             via = recover_via_shift(mu, PARAMS)
             assert rel_h(via, direct) < 1e-12
 
+    @pytest.mark.parametrize("lam_min", [-1e16, -2.0**53])
+    def test_recovery_on_a_spectrum_beyond_2_53(self, lam_min):
+        # 1 - lam_min rounds to -lam_min, so the shift must be raised above it
+        # (the basis was refused); these eigenvalues shift without rounding,
+        # and Re r T = 10 keeps every |zeta_k| ~ e^10 / 1e16 above the threshold
+        b = make_custom_basis([lam_min, lam_min + 2.0, lam_min + 4.0])
+        params = AveragingParams(10.0, 1.0)
+        xi = power_law_state(b, 3, 2.0)
+        mu = apply_time_average(xi, params)
+        via = recover_via_shift(mu, params)
+        assert np.array_equal(via.values, recover_initial(mu, params).values)
+        assert rel_h(via, xi) < 1e-12
+
     def test_trajectory_agrees_after_unwinding(self):
         b = make_periodic_basis(1.0, 5)
         times = np.linspace(0.0, 1.0, 7)

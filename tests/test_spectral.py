@@ -1,6 +1,7 @@
 """Bases, coefficient vectors, norms, grid synthesis/projection, JSON and CSV I/O."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from schrodavg import (
     unit_floor_shift,
 )
 from schrodavg.averaging import ZetaFactors, zeta_to_csv
-from schrodavg.spectral import _CSV_BLOCK_ROWS, _mode_matrix, _norm_weights, _write_csv
+from schrodavg.spectral import _CSV_BLOCK_ROWS, _mode_matrix, _norm_weights, _weighted_norm, _write_csv
 
 
 class TestBasisConstruction:
@@ -56,6 +57,24 @@ class TestBasisConstruction:
         assert make_periodic_basis(1.0, 5).c_A == 1.0
         assert make_custom_basis([-2.0, 0.5, 3.0]).c_A == 3.0
         assert unit_floor_shift([0.25]) == 0.75
+
+    @pytest.mark.parametrize("lam_min", [-1e16, -2.0**53, -(1.0 + 2.0**-52)])
+    def test_default_shift_reaches_one_where_the_difference_rounds(self, lam_min):
+        # 1 - lam_min rounds, so lam_min + (1 - lam_min) falls short of 1: at
+        # 0 for the first two (the basis was refused), 1 - 2^-52 for the tie
+        assert lam_min + (1.0 - lam_min) < 1.0
+        q = unit_floor_shift([lam_min, 0.0, 5.0])
+        assert lam_min + q >= 1.0 > lam_min + math.nextafter(q, 0.0)  # the smallest such q
+        b = make_custom_basis([lam_min, 0.0, 5.0])
+        assert b.c_A == q
+        assert _norm_weights(b, 1).min() >= 1.0
+
+    def test_default_shift_moves_only_where_the_difference_rounds_short(self):
+        rng = np.random.default_rng(11)
+        lam = -(10.0 ** rng.uniform(-3.0, 20.0, 2000)) * rng.uniform(1.0, 2.0, 2000)
+        for x in np.r_[lam, -lam, 0.0, -0.0, 1.0, -1.0, -2.0**52, -1e15].tolist():
+            old = max(0.0, 1.0 - x)
+            assert unit_floor_shift([x]) == old or x + old < 1.0, x
 
     def test_periodic_frequency_ordering(self):
         b = make_periodic_basis(1.0, 6)
@@ -93,6 +112,10 @@ class TestCoefficients:
             ModeCoefficients([1.0, np.inf], b)
         with pytest.raises(InvalidArgumentError):
             ModeCoefficients([1.0, complex(0, np.nan)], b)
+        # a part alone, the other finite
+        for bad in (complex(1.0, np.inf), complex(1.0, -np.inf), complex(1.0, np.nan), complex(np.nan, 0.0)):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                ModeCoefficients([bad, 2.0], b)
 
 
 class TestNorms:
@@ -151,6 +174,23 @@ class TestNorms:
         for _ in range(2):  # the kept inf weight raises again on the next call
             with pytest.raises(NumericError, match="order-2"):
                 sobolev_norm(c, 2)
+
+
+    def test_one_overflowing_mode_of_several_named(self):
+        # |1e200|^2 times the weight 1e308 overflows even rescaled
+        c = ModeCoefficients([1.0, 1.0, 1e200], make_custom_basis([1.0, 1.0, 1e308]))
+        assert sobolev_norm(c, 0) == 1e200
+        with pytest.raises(NumericError, match="order-1"):
+            sobolev_norm(c, 1)
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_one_nan_row_of_several_named(self, row):
+        # the largest row norm is finite only when every row's is: max passes on a NaN
+        values = np.array([[1.0, 1.0], [3.0, 4.0], [1e200, 1.0]], dtype=complex)
+        values[row, 0] = np.nan
+        with pytest.raises(NumericError, match="order-0"):
+            _weighted_norm(values, None, 0)
+        assert _weighted_norm(np.delete(values, row, axis=0), None, 0) == (1e200 if row < 2 else 5.0)
 
 
 def _product_form_norm(v):
