@@ -33,7 +33,6 @@ from .recover import (
     conditioning_report,
     potential_shift_solution,
     reconstruct_solution,
-    reconstruct_via_shift,
     recover_initial,
     recover_via_shift,
     stability_bound,
@@ -91,7 +90,6 @@ __all__ = [
     "project_from_grid",
     "propagate",
     "reconstruct_solution",
-    "reconstruct_via_shift",
     "recover_initial",
     "recover_via_shift",
     "sample_trajectory",

@@ -23,7 +23,6 @@ import numpy as np
 
 from .averaging import (
     AveragingParams,
-    ZetaFactors,
     apply_time_average,
     forward_smoothing_constant,
     zeta_factors,
@@ -231,7 +230,7 @@ def _run_recover(cfg, out, report, basis, params, mu):
     traj = sample_trajectory(xi_hat, cfg.T, cfg.trajectory_steps)
     trajectory_to_csv(traj, out / "trajectory.csv")
     rep = conditioning_report(basis, params)
-    zeta_to_csv(ZetaFactors(rep.zeta, basis), out / "zeta.csv")
+    zeta_to_csv(zeta_factors(basis, params), out / "zeta.csv")
     save_coefficients(out / "xi.json", xi_hat)
     report["well_posed"] = rep.well_posed
     report["conditioning"] = report_summary(rep)

@@ -68,7 +68,7 @@ class GridState:
         v = np.array(self.values, dtype=complex)
         if v.ndim != 1 or v.size == 0:
             raise InvalidArgumentError("grid state must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(v.real) & np.isfinite(v.imag)):
+        if not np.isfinite(v).all():
             raise InvalidArgumentError("grid state must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -127,18 +127,8 @@ def _step_count(T: float, dt: float) -> int:
     return n
 
 
-def oracle_time_average(
-    xi_grid: GridState,
-    params: AveragingParams,
-    cfg: FdConfig,
-    *,
-    zero_operator: bool = False,
-) -> GridState:
-    """Simpson accumulation of exp(r t_n) u(t_n) while stepping 0 -> T.
-
-    ``zero_operator`` freezes the state (A_h replaced by the zero operator), a
-    hook that isolates the quadrature from the stepping in unit tests.
-    """
+def oracle_time_average(xi_grid: GridState, params: AveragingParams, cfg: FdConfig) -> GridState:
+    """Simpson accumulation of exp(r t_n) u(t_n) while stepping 0 -> T."""
     if xi_grid.values.size != cfg.interior_points:
         raise InvalidArgumentError(
             f"state length {xi_grid.values.size} != interior points {cfg.interior_points}"
@@ -154,8 +144,7 @@ def oracle_time_average(
     u = xi_grid.values
     acc = w[0] * u.astype(complex)
     for n in range(1, steps + 1):
-        if not zero_operator:
-            u = step(u)
+        u = step(u)
         acc = acc + w[n] * np.exp(params.r * (n * cfg.dt)) * u
     return GridState(acc)
 

@@ -64,12 +64,15 @@ def reconstruct_solution(
     return _trajectory(xi.values, mu.basis, _check_times(times))
 
 
-def _recover_shifted(mu: ModeCoefficients, params: AveragingParams, allow_ill_posed: bool):
-    """Initial state of the problem translated so every eigenvalue is >= 1.
+def recover_via_shift(
+    mu: ModeCoefficients, params: AveragingParams, *, allow_ill_posed: bool = False
+) -> ModeCoefficients:
+    """Alternate inversion route through the problem translated so every
+    eigenvalue is >= 1.
 
-    With q = max(0, 1 - min lambda), solving with (r + i q, lambda + q) and
-    mapping u(t) = exp(i q t) u_bar(t) reproduces the original problem.
-    Returns q and u_bar(0) on the custom basis of the eigenvalues lambda + q.
+    With q = unit_floor_shift(lambda), solving with (r + i q, lambda + q) and
+    mapping u(t) = exp(i q t) u_bar(t) reproduces the original problem, so
+    u(0) = u_bar(0).
     """
     q = unit_floor_shift(mu.basis.lambdas)
     shifted_basis = make_custom_basis(mu.basis.lambdas + q, mu.basis.domain_length, 0.0)
@@ -78,37 +81,7 @@ def _recover_shifted(mu: ModeCoefficients, params: AveragingParams, allow_ill_po
         AveragingParams(params.r + 1j * q, params.T),
         allow_ill_posed=allow_ill_posed,
     )
-    return q, xi_bar
-
-
-def recover_via_shift(
-    mu: ModeCoefficients, params: AveragingParams, *, allow_ill_posed: bool = False
-) -> ModeCoefficients:
-    """Alternate inversion route through the shifted problem; u(0) = u_bar(0)."""
-    _, xi_bar = _recover_shifted(mu, params, allow_ill_posed)
     return ModeCoefficients(xi_bar.values, mu.basis)
-
-
-def reconstruct_via_shift(
-    mu: ModeCoefficients,
-    params: AveragingParams,
-    times,
-    *,
-    allow_ill_posed: bool = False,
-) -> Trajectory:
-    """Trajectory built on the shifted basis, mapped back by exp(i q t)."""
-    q, xi_bar = _recover_shifted(mu, params, allow_ill_posed)
-    u_bar = _trajectory(xi_bar.values, xi_bar.basis, _check_times(times))
-    return _scaled(u_bar, 1j * q, mu.basis)
-
-
-def _scaled(u: Trajectory, rate: complex, basis: SpectralBasis) -> Trajectory:
-    """The states of ``u`` times exp(rate t), on ``basis``; NumericError
-    names the first time whose state overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        states = np.exp(rate * u.times)[:, None] * u.states
-    _require_finite(states, u.times)
-    return _trusted_trajectory(u.times, states, basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,10 +90,10 @@ class ConditioningReport:
 
     ``stability_bound`` is (1 + |r|) / |exp((Re r) T) - 1|, infinite in the
     ill-posed regime; it bounds the order-0 recovery norm against the order-2
-    data norm on bases with eigenvalues >= 1 (apply the shift first
-    otherwise).  ``psi`` is the classical per-mode amplification
-    sqrt(|r|^2 + lambda_k^2) / |exp(r T) - 1|, reported for comparison with
-    the provable ``inv_zeta_bound``.
+    data norm on bases with eigenvalues >= 1 (``recover_via_shift`` inverts
+    through that shift otherwise).  ``psi`` is the classical per-mode
+    amplification sqrt(|r|^2 + lambda_k^2) / |exp(r T) - 1|, reported for
+    comparison with the provable ``inv_zeta_bound``.
     """
 
     basis: SpectralBasis
@@ -147,7 +120,8 @@ def stability_bound(params: AveragingParams) -> float:
     """(1 + |r|) / |exp((Re r) T) - 1|; requires Re r != 0."""
     if params.r.real == 0.0:
         raise IllPosedError("stability bound diverges at Re r = 0")
-    return (1.0 + abs(params.r)) / _abs_expm1(params.r.real * params.T)
+    denom = _abs_expm1(params.r.real * params.T)  # 0 once Re r T underflows
+    return (1.0 + abs(params.r)) / denom if denom > 0 else math.inf
 
 
 def _quotient(num: np.ndarray, den: float, T: float) -> np.ndarray:
@@ -181,7 +155,6 @@ def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> Condit
         if lost.any():
             psi[lost] = np.hypot(abs(params.r), lam[lost])
         psi = _quotient(psi, denom_full, params.T)
-        stab = (1.0 + abs(params.r)) / denom_re if denom_re > 0 else math.inf
     return ConditioningReport(
         basis=basis,
         params=params,
@@ -191,7 +164,7 @@ def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> Condit
         psi=psi,
         min_abs_zeta=rec.min_abs,
         well_posed=params.r.real != 0.0,
-        stability_bound=float(stab),
+        stability_bound=stability_bound(params) if params.r.real != 0.0 else math.inf,
         q=unit_floor_shift(lam),
     )
 
@@ -210,7 +183,10 @@ def potential_shift_solution(
     exp(r t).
     """
     u = reconstruct_solution(mu, params, times, allow_ill_posed=allow_ill_posed)
-    return _scaled(u, params.r, mu.basis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = np.exp(params.r * u.times)[:, None] * u.states
+    _require_finite(states, u.times)  # NumericError names the first overflowing time
+    return _trusted_trajectory(u.times, states, mu.basis)
 
 
 def report_to_csv(report: ConditioningReport, path) -> None:

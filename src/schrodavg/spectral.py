@@ -103,6 +103,8 @@ class SpectralBasis:
         if np.any(np.diff(lam) < 0):
             raise InvalidArgumentError("lambdas must be nondecreasing")
         cA = unit_floor_shift(lam) if self.c_A is None else float(self.c_A)
+        if self.c_A is None and cA == math.inf:
+            raise InvalidArgumentError(f"min(lambda) = {lam[0]} leaves no finite default c_A")
         if not (np.isfinite(cA) and cA >= 0):
             raise InvalidArgumentError("c_A must be nonnegative and finite")
         if lam[0] + cA <= 0:

@@ -28,6 +28,15 @@ def _interior_mode(k, M, L=1.0):
     return np.sin(k * np.pi * j * h / L).astype(complex)
 
 
+class TestGridState:
+    @pytest.mark.parametrize("bad", [complex(0.0, np.nan), complex(0.0, np.inf)])
+    def test_non_finite_imaginary_part_rejected(self, bad):
+        v = np.ones(4, dtype=complex)
+        v[2] = bad
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            GridState(v)
+
+
 class TestCnStep:
     def test_zero_stays_zero(self):
         cfg = FdConfig(16, 0.01)
@@ -76,13 +85,14 @@ class TestOracleTimeAverage:
         )
         assert np.all(out.values == 0)
 
-    def test_frozen_state_integrates_weight_exactly(self):
-        # zero-operator hook: integrand reduces to the weight alone, and the
-        # Simpson sum of 1 over [0, T] is T to rounding
+    def test_frozen_state_integrates_weight_exactly(self, monkeypatch):
+        # an identity step freezes the state: the integrand reduces to the
+        # weight alone, and the Simpson sum of 1 over [0, T] is T to rounding
+        monkeypatch.setattr(fd_oracle, "_cn_stepper", lambda cfg: lambda u: u)
         cfg = FdConfig(16, 0.05)
         rng = np.random.default_rng(42)
         xi = GridState(rng.normal(size=16) + 1j * rng.normal(size=16))
-        out = oracle_time_average(xi, AveragingParams(0.0, 1.0), cfg, zero_operator=True)
+        out = oracle_time_average(xi, AveragingParams(0.0, 1.0), cfg)
         assert np.abs(out.values - 1.0 * xi.values).max() < 1e-12
 
     def test_odd_step_count_rejected(self):

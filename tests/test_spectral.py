@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -68,6 +69,14 @@ class TestBasisConstruction:
         b = make_custom_basis([lam_min, 0.0, 5.0])
         assert b.c_A == q
         assert _norm_weights(b, 1).min() >= 1.0
+
+    def test_default_shift_overflow_names_the_eigenvalue(self):
+        # 1 - (-DBL_MAX) rounds to DBL_MAX, and the next double is inf: the
+        # error names min(lambda), not the c_A the caller never passed
+        assert unit_floor_shift([-sys.float_info.max]) == math.inf
+        with pytest.raises(InvalidArgumentError, match=r"min\(lambda\) = -1\.79") as err:
+            make_custom_basis([-sys.float_info.max, 0.0])
+        assert "c_A must" not in str(err.value)
 
     def test_default_shift_moves_only_where_the_difference_rounds_short(self):
         rng = np.random.default_rng(11)
