@@ -12,7 +12,6 @@ with the removable singularity at r = i lambda_k taking the value T.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +29,8 @@ _DEGENERATE_REL = 1.0e-14
 class AveragingParams:
     """Weight exponent r (complex, 1/time) and horizon T (> 0, time).
 
-    The object also keeps the per-mode record of the last basis it was used
-    with (see _factors), so one object per parameter choice, reused across a
-    solve, evaluates the factors and their verdicts once.
+    It keeps the ZetaFactors of the last basis it met (see _factors), so a
+    solve that reuses one object evaluates the factors and verdicts once.
     """
 
     r: complex
@@ -47,12 +45,15 @@ class AveragingParams:
             raise InvalidArgumentError(f"T must be positive and finite, got {T}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "T", T)
-        object.__setattr__(self, "_memo", None)  # the _ModeRecord of _factors
+        object.__setattr__(self, "_memo", None)  # the ZetaFactors of _factors
 
 
 @dataclass(frozen=True, eq=False)
 class ZetaFactors:
-    """Per-mode averaging factors for one basis/params pair."""
+    """Per-mode averaging factors of one basis/params pair and their verdicts,
+    all read-only: ``abs_values`` |z_k|, ``threshold`` (_DEGENERATE_REL times
+    max|z|, floored at 1), ``degenerate`` (the 0-based modes with |z_k| <=
+    threshold, which inversion refuses) and ``min_abs``."""
 
     values: np.ndarray
     basis: SpectralBasis
@@ -61,8 +62,13 @@ class ZetaFactors:
         v = np.array(self.values, dtype=complex)
         if v.shape != (self.basis.mode_count,):
             raise InvalidArgumentError("factor count must match basis mode count")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        mag = np.abs(v)
+        threshold = _DEGENERATE_REL * max(1.0, float(mag.max()))
+        bad = np.flatnonzero(mag <= threshold)
+        for a in (v, mag, bad):
+            a.setflags(write=False)
+        self.__dict__.update(values=v, abs_values=mag, threshold=threshold, degenerate=bad,
+                             min_abs=float(mag.min()))
 
 
 def _cexpm1(z: np.ndarray) -> np.ndarray:
@@ -82,16 +88,9 @@ def _zeta_values(r: complex, T: float, lam) -> np.ndarray:
         return np.where(at_zero, complex(T), _cexpm1(s * T) / np.where(at_zero, 1.0, s))
 
 
-# what one (basis, params) pair gives its modes: the factors z, |z|, the
-# 0-based degenerate modes (|z_k| <= threshold), the threshold and min |z|;
-# the arrays are read-only
-_ModeRecord = namedtuple("_ModeRecord", "basis z abs_z degenerate threshold min_abs")
-
-
-def _factors(basis: SpectralBasis, params: AveragingParams) -> _ModeRecord:
-    """The _ModeRecord of every mode of ``basis``, built once per (basis,
-    params): ``params`` keeps the record of the last basis it met, so one
-    solve chain (forward map, inversion, report) evaluates once.
+def _factors(basis: SpectralBasis, params: AveragingParams) -> ZetaFactors:
+    """The ZetaFactors of ``basis``, built once per (basis, params) and kept
+    on ``params`` for the rest of the solve chain.
 
     zeta_k depends on lambda_k alone, so it is evaluated once per distinct
     eigenvalue (the basis's _distinct map) and gathered.  The distinct values
@@ -108,14 +107,7 @@ def _factors(basis: SpectralBasis, params: AveragingParams) -> _ModeRecord:
             z[k] = _zeta_values(params.r, params.T, lam[k])
 
         _map_blocks(fill, _row_blocks(lam.size, 1), basis.mode_count)
-        if index is not None:
-            z = z.take(index)
-        absz = np.abs(z)
-        threshold = _DEGENERATE_REL * max(1.0, float(absz.max()))
-        bad = np.flatnonzero(absz <= threshold)
-        for a in (z, absz, bad):
-            a.setflags(write=False)
-        memo = _ModeRecord(basis, z, absz, bad, threshold, float(absz.min()))
+        memo = ZetaFactors(z if index is None else z.take(index), basis)
         object.__setattr__(params, "_memo", memo)
     return memo
 
@@ -131,13 +123,13 @@ def zeta_factor(r: complex, T: float, lam: float) -> complex:
 
 
 def zeta_factors(basis: SpectralBasis, params: AveragingParams) -> ZetaFactors:
-    """All per-mode factors for the basis eigenvalues."""
-    return ZetaFactors(_factors(basis, params).z, basis)
+    """The read-only ZetaFactors that ``params`` keeps for ``basis``."""
+    return _factors(basis, params)
 
 
 def apply_time_average(xi: ModeCoefficients, params: AveragingParams) -> ModeCoefficients:
     """Image of the state under the averaging map: gamma_k = zeta_k alpha_k."""
-    return ModeCoefficients(_factors(xi.basis, params).z * xi.values, xi.basis)
+    return ModeCoefficients(_factors(xi.basis, params).values * xi.values, xi.basis)
 
 
 def forward_smoothing_constant(basis: SpectralBasis, params: AveragingParams) -> float:
@@ -147,7 +139,7 @@ def forward_smoothing_constant(basis: SpectralBasis, params: AveragingParams) ->
     mode at the maximizing k attains equality, so the bound is tight on the
     truncated basis.
     """
-    z = _factors(basis, params).abs_z
+    z = _factors(basis, params).abs_values
     return float(np.max(np.sqrt(_norm_weights(basis, 2) / _norm_weights(basis, 1)) * z))
 
 

@@ -293,10 +293,10 @@ def _run_sweep(cfg, out, report, basis, _, mu):
     for re in r_re:
         params = AveragingParams(complex(re, cfg.r.imag), cfg.T)
         # one factor evaluation per point; delta / z would move the error bits
-        rec = _inverted_factors(basis, params, False)
-        diff = ModeCoefficients((mu.values + delta) / rec.z - mu.values / rec.z, basis)
+        z = _inverted_factors(basis, params, False)
+        diff = ModeCoefficients((mu.values + delta) / z.values - mu.values / z.values, basis)
         err_h1 = sobolev_norm(diff, 1)
-        min_abs.append(rec.min_abs)
+        min_abs.append(z.min_abs)
         errs_h.append(sobolev_norm(diff, 0))
         errs_h1.append(err_h1)
         amps.append(err_h1 / noise_h2 if noise_h2 > 0 else 0.0)
@@ -348,6 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# error class -> diagnostic name and exit code, the first class that matches
+_EXITS = ((IllPosedError, "ill-posed-parameters", 2), (DegenerateModeError, "degenerate-mode", 3),
+          (NumericError, "numeric-error", 4), (SchrodavgError, "config-error", 1))
+
+
 def _diagnostic(kind: str, exc: Exception) -> None:
     payload = {"error": kind, "message": str(exc)}
     if isinstance(exc, DegenerateModeError):
@@ -359,18 +364,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = run(load_config(args.config, args), args.command)
-    except IllPosedError as exc:
-        _diagnostic("ill-posed-parameters", exc)
-        return 2
-    except DegenerateModeError as exc:
-        _diagnostic("degenerate-mode", exc)
-        return 3
-    except NumericError as exc:
-        _diagnostic("numeric-error", exc)
-        return 4
     except SchrodavgError as exc:
-        _diagnostic("config-error", exc)
-        return 1
+        kind, code = next((kind, code) for cls, kind, code in _EXITS if isinstance(exc, cls))
+        _diagnostic(kind, exc)
+        return code
     if args.command == "conditioning" and report["well_posed"] is False:
         # diagnostic runs still flag the ill-posed regime through the exit code
         _diagnostic("ill-posed-parameters", IllPosedError("Re r = 0 (report written)"))

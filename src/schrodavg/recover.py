@@ -17,34 +17,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import AveragingParams, _cexpm1, _factors, _ModeRecord
+from .averaging import AveragingParams, ZetaFactors, _cexpm1, _factors
 from .errors import DegenerateModeError, IllPosedError
 from .evolve import Trajectory, _check_times, _require_finite, _trajectory, _trusted_trajectory
 from .spectral import ModeCoefficients, SpectralBasis, _write_csv, make_custom_basis, unit_floor_shift
 
 _TINY = np.finfo(float).tiny  # the smallest normal double
+_LOG_MAX = math.log(np.finfo(float).max)  # exp(x) overflows exactly where x > _LOG_MAX
 
 
-def _inverted_factors(basis: SpectralBasis, params: AveragingParams, allow_ill_posed: bool) -> _ModeRecord:
-    """The _ModeRecord of (basis, params), once inversion may divide by its z."""
-    rec = _factors(basis, params)
-    if rec.degenerate.size:
+def _inverted_factors(basis: SpectralBasis, params: AveragingParams, allow_ill_posed: bool) -> ZetaFactors:
+    """The ZetaFactors of (basis, params), once inversion may divide by them."""
+    f = _factors(basis, params)
+    if f.degenerate.size:
         # checked before the ill-posedness gate: vanishing factors are the
         # stronger obstruction and exactly what the Re r = 0 regime produces
-        raise DegenerateModeError(rec.degenerate + 1, rec.threshold)
+        raise DegenerateModeError(f.degenerate + 1, f.threshold)
     if params.r.real == 0.0 and not allow_ill_posed:
         raise IllPosedError(
             "Re r = 0: inversion is ill-posed (factors can vanish and the "
             "stability constant diverges); pass allow_ill_posed=True to force"
         )
-    return rec
+    return f
 
 
 def recover_initial(
     mu: ModeCoefficients, params: AveragingParams, *, allow_ill_posed: bool = False
 ) -> ModeCoefficients:
     """Initial state with alpha_k = gamma_k / zeta_k."""
-    z = _inverted_factors(mu.basis, params, allow_ill_posed).z
+    z = _inverted_factors(mu.basis, params, allow_ill_posed).values
     return ModeCoefficients(mu.values / z, mu.basis)
 
 
@@ -109,9 +110,14 @@ class ConditioningReport:
 
 
 def _abs_expm1(x: float) -> float:
-    """|exp(x) - 1|, inf once exp(x) overflows (a quotient by it is then 0)."""
+    """|exp(x) - 1|, inf once exp(x) overflows."""
+    return abs(math.expm1(x)) if x <= _LOG_MAX else math.inf
+
+
+def _abs(r: complex) -> float:
+    """|r| as Python's complex abs takes it, but inf where that raises OverflowError."""
     try:
-        return abs(math.expm1(x))
+        return abs(complex(r))
     except OverflowError:
         return math.inf
 
@@ -120,8 +126,13 @@ def stability_bound(params: AveragingParams) -> float:
     """(1 + |r|) / |exp((Re r) T) - 1|; requires Re r != 0."""
     if params.r.real == 0.0:
         raise IllPosedError("stability bound diverges at Re r = 0")
-    denom = _abs_expm1(params.r.real * params.T)  # 0 once Re r T underflows
-    return (1.0 + abs(params.r)) / denom if denom > 0 else math.inf
+    x, a = params.r.real * params.T, _abs(params.r)
+    denom = _abs_expm1(x)  # 0 once Re r T underflows
+    if x > 0 and math.inf in (a, denom):  # in logs, log|r| from halved parts
+        num = math.log1p(a) if a < math.inf else math.log(_abs(params.r / 2)) + math.log(2.0)
+        den = x + math.log1p(-math.exp(-x)) if denom == math.inf else math.log(denom)
+        return math.exp(num - den) if num - den <= _LOG_MAX else math.inf
+    return (1.0 + a) / denom if denom > 0 else math.inf
 
 
 def _quotient(num: np.ndarray, den: float, T: float) -> np.ndarray:
@@ -133,15 +144,13 @@ def _quotient(num: np.ndarray, den: float, T: float) -> np.ndarray:
 def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> ConditioningReport:
     """Diagnostic report; never raises, even in the ill-posed regime."""
     lam = basis.lambdas
-    rec = _factors(basis, params)
+    f = _factors(basis, params)
     denom_re = _abs_expm1(params.r.real * params.T)
     # |exp(rT) - 1| >= |exp(Re r T) - 1|, so it overflows whenever that does
-    denom_full = (
-        math.inf if denom_re == math.inf
-        else abs(complex(_cexpm1(np.asarray(params.r * params.T))))
-    )
+    denom_full = math.inf if denom_re == math.inf else _abs(_cexpm1(np.asarray(params.r * params.T)))
+    abs_r = _abs(params.r)
     try:  # Python's float power, not numpy's square: their last bits differ
-        r2 = abs(params.r) ** 2
+        r2 = abs_r ** 2
     except OverflowError:
         r2 = math.inf
     with np.errstate(over="ignore"):
@@ -153,16 +162,16 @@ def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> Condit
         psi = np.sqrt(sq)
         lost = ~np.isfinite(psi) | (sq < _TINY)
         if lost.any():
-            psi[lost] = np.hypot(abs(params.r), lam[lost])
+            psi[lost] = np.hypot(abs_r, lam[lost])
         psi = _quotient(psi, denom_full, params.T)
     return ConditioningReport(
         basis=basis,
         params=params,
-        zeta=rec.z,
-        abs_zeta=rec.abs_z,
+        zeta=f.values,
+        abs_zeta=f.abs_values,
         inv_zeta_bound=inv_bound,
         psi=psi,
-        min_abs_zeta=rec.min_abs,
+        min_abs_zeta=f.min_abs,
         well_posed=params.r.real != 0.0,
         stability_bound=stability_bound(params) if params.r.real != 0.0 else math.inf,
         q=unit_floor_shift(lam),

@@ -247,10 +247,11 @@ def _norm_weights(basis: SpectralBasis, order: int) -> np.ndarray | None:
     # an overflowing weight stays inf, and _weighted_norm raises NumericError
     with np.errstate(over="ignore"):
         w = basis.lambdas + basis.c_A if order == 1 else basis.lambdas**2 + basis.c_A
-    # construction guarantees lambda + c_A > 0; re-check to fail loudly on
-    # hand-built bases that bypassed the factories (nothing is kept then,
-    # so every call fails)
-    if np.any(w <= 0):
+    bad = np.flatnonzero(w <= 0)  # nothing is kept then, so every call fails
+    if bad.size and order == 2 and basis.c_A >= 0:  # lambda^2 underflowed, at c_A = 0
+        k = bad[0]
+        raise NumericError(f"order-2 weight of mode {k + 1} underflows to 0: lambda = {basis.lambdas[k]:.17g}")
+    if bad.size:  # only a basis altered after its checks ran
         raise InvalidArgumentError(f"order-{order} weights are not all positive")
     w.setflags(write=False)
     basis._weights[order] = w

@@ -26,7 +26,7 @@ from schrodavg import (
     zeta_factor,
     zeta_factors,
 )
-from schrodavg.averaging import _factors, _zeta_values, zeta_to_csv
+from schrodavg.averaging import ZetaFactors, _factors, _zeta_values, zeta_to_csv
 from schrodavg.evolve import _ELIDE_VALUES, _THREAD_MIN_VALUES
 
 
@@ -197,13 +197,27 @@ class TestFactorMemo:
         hit = _factors(b, params)
         assert hit is params._memo
         fresh = _factors(b, AveragingParams(r, T))
+        hand = ZetaFactors(_zeta_values(r, T, b.lambdas), b)  # built without the memo
         absz = np.abs(_zeta_values(r, T, b.lambdas))
         threshold = 1e-14 * max(1.0, float(absz.max()))
-        for rec in (hit, fresh):
-            assert np.array_equal(rec.abs_z, absz)
+        for rec in (hit, fresh, hand):
+            assert np.array_equal(rec.abs_values, absz)
             assert rec.threshold == threshold
             assert rec.min_abs == float(absz.min())
             assert np.array_equal(rec.degenerate, np.flatnonzero(absz <= threshold))
+
+    def test_zeta_factors_is_the_shared_read_only_object(self):
+        b = make_dirichlet_basis(1.0, 4)
+        params = AveragingParams(0.0, 2.0 / np.pi)  # every mode degenerate
+        f = zeta_factors(b, params)
+        assert f is zeta_factors(b, params) is _factors(b, params)
+        for a in (f.values, f.abs_values, f.degenerate):
+            with pytest.raises(ValueError):
+                a[0] = 0
+        z = np.ones(4, dtype=complex)
+        hand = ZetaFactors(z, b)
+        z[0] = 2.0  # a hand-built object keeps its own copy
+        assert hand.values[0] == 1.0
 
 
 def bits(a):
@@ -231,7 +245,7 @@ class TestDistinctFactors:
     def test_equal_to_one_evaluation_over_all_modes(self, kind, r, T):
         b = self.BASES[kind]()
         params = AveragingParams(r, T)
-        assert np.array_equal(bits(_factors(b, params).z), bits(_zeta_values(params.r, params.T, b.lambdas)))
+        assert np.array_equal(bits(_factors(b, params).values), bits(_zeta_values(params.r, params.T, b.lambdas)))
 
     @pytest.mark.parametrize("cpus", [2, 8])
     @pytest.mark.parametrize("runs", [False, True])
@@ -247,7 +261,7 @@ class TestDistinctFactors:
         else:
             b = make_dirichlet_basis(1.0, N)
         params = AveragingParams(0.3 - 0.8j, 1.7)
-        assert np.array_equal(bits(_factors(b, params).z), bits(_zeta_values(params.r, params.T, b.lambdas)))
+        assert np.array_equal(bits(_factors(b, params).values), bits(_zeta_values(params.r, params.T, b.lambdas)))
         # chunks of 16383 values, one per distinct eigenvalue
         chunks = -(-b._distinct[0].size // (_ELIDE_VALUES - 1))
         assert made == [(min(cpus, 4, chunks),)]

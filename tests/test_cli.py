@@ -207,6 +207,15 @@ class TestExitCodes:
         assert len(lines) == 1, proc.stderr
         assert json.loads(lines[0])["error"] == "numeric-error"
 
+    def test_underflowing_weight_exits_four(self, tmp_path, capsys):
+        # lambda^2 = 1e-400 underflows the order-2 weight of mu_h2 at c_A = 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"basis": {"kind": "custom", "lambdas": [1e-200, 1.0], "cA": 0.0}}))
+        assert main(["average", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 4
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert diag["error"] == "numeric-error"
+        assert "order-2 weight of mode 1 underflows" in diag["message"]
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_trajectory_exits_four(self, tmp_path, capsys):
         # lambda t = 1e310 overflows the phases of the forward trajectory

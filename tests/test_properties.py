@@ -128,6 +128,6 @@ class TestRecovery:
     def test_inverse_factor_bound(self, n, r, T):
         basis = make_dirichlet_basis(1.0, n)
         params = AveragingParams(r=r, T=T)
-        inv = 1.0 / _inverted_factors(basis, params, False).abs_z
+        inv = 1.0 / _inverted_factors(basis, params, False).abs_values
         bound = np.hypot(r.real, r.imag - basis.lambdas) / abs(np.expm1(r.real * T))
         assert np.all(inv <= bound * (1 + 1e-12))

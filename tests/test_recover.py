@@ -327,6 +327,43 @@ class TestStabilityBound:
         assert stability_bound(params) == math.inf
         assert conditioning_report(make_dirichlet_basis(1.0, 4), params).stability_bound == math.inf
 
+    # |r| overflows; |r| overflows while exp(Re r T) does not; exp(Re r T)
+    # overflows and the bound is not 0; and two ordinary pairs
+    EXTREME = [
+        (1.7e308 + 1.7e308j, 1.0),
+        (1e301 + 1.7976931348623157e308j, 7e-299),
+        (1e308 + 1.7e308j, 7e-306),
+        (710.0 + 1e300j, 1.0),
+        (-1e308 + 1e308j, 1.0),
+        (1.0 + 2.0j, 1.0),
+    ]
+
+    @pytest.mark.parametrize("r, T", EXTREME)
+    def test_matches_mpmath_where_abs_r_or_the_weight_overflows(self, r, T):
+        mpmath = pytest.importorskip("mpmath")
+        params = AveragingParams(r, T)
+        with mpmath.workdps(50):
+            x = mpmath.mpf(params.r.real) * mpmath.mpf(params.T)
+            ref = (1 + mpmath.hypot(params.r.real, params.r.imag)) / abs(mpmath.expm1(x))
+            expected = float(ref)  # 0 or inf where the bound leaves the doubles
+        assert stability_bound(params) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the factors still overflow there
+    @pytest.mark.parametrize("r, T", EXTREME[:4])
+    def test_report_does_not_raise_where_abs_r_overflows(self, r, T):
+        params = AveragingParams(r, T)
+        rep = conditioning_report(make_dirichlet_basis(1.0, 8), params)
+        assert rep.stability_bound == stability_bound(params)
+
+    def test_bits_unchanged_in_the_normal_range(self):
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            r = complex(*(rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 2, 2)))
+            T = 10.0 ** rng.uniform(-3, 0)
+            if r.real != 0.0:
+                expected = (1.0 + abs(r)) / abs(math.expm1(r.real * T))
+                assert stability_bound(AveragingParams(r, T)) == expected
+
 
 class TestPotentialShift:
     def test_time_zero_scale_is_one(self):

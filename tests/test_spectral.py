@@ -185,6 +185,16 @@ class TestNorms:
                 sobolev_norm(c, 2)
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_weight_named(self):
+        # lambda^2 = 1e-400 rounds to 0, and c_A = 0 adds nothing: a numeric
+        # limit of a valid basis, not a bad argument
+        c = ModeCoefficients([1.0, 1.0, 1.0], make_custom_basis([1e-200, 1e-170, 1.0], 1.0, 0.0))
+        assert sobolev_norm(c, 1) > 0
+        for _ in range(2):  # nothing is kept, so the next call raises again
+            with pytest.raises(NumericError, match="order-2 weight of mode 1 underflows"):
+                sobolev_norm(c, 2)
+
     def test_one_overflowing_mode_of_several_named(self):
         # |1e200|^2 times the weight 1e308 overflows even rescaled
         c = ModeCoefficients([1.0, 1.0, 1e200], make_custom_basis([1.0, 1.0, 1e308]))
