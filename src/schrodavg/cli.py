@@ -31,14 +31,7 @@ from .averaging import (
 from .errors import DegenerateModeError, IllPosedError, InvalidArgumentError, NumericError, SchrodavgError
 from .evolve import sample_trajectory, trajectory_sup_norm, trajectory_to_csv
 from .fd_oracle import FdConfig, oracle_mu_coeffs
-from .recover import (
-    _inverted_factors,
-    conditioning_report,
-    recover_initial,
-    report_summary,
-    report_to_csv,
-    stability_bound,
-)
+from .recover import conditioning_report, recover_initial, report_summary, report_to_csv, stability_bound
 from .spectral import (
     CUSTOM,
     DIRICHLET,
@@ -52,8 +45,11 @@ from .spectral import (
 )
 
 
-def _or_none(cast):
-    return lambda x: None if x is None else cast(x)
+def _section(x, name: str = "basis") -> dict:
+    """A config object; null or an empty value counts as absent ({})."""
+    if not isinstance(x or {}, dict):
+        raise TypeError(f"{name} must be a JSON object")
+    return x or {}
 
 
 def _complex_pair(x) -> complex:
@@ -80,10 +76,9 @@ class ExperimentConfig:
     N: int | None = _setting(None, "basis.N", _integer, "--N")
     seed: int = _setting(1234, "seed", _integer, "--seed")
     noise: float = _setting(0.0, "noise", float, "--noise")
-    kind: str = _setting(DIRICHLET, "basis.kind", str)
-    L: float = _setting(1.0, "basis.L", float)
-    c_A: float | None = _setting(None, "basis.cA", _or_none(float))
-    lambdas: list | None = _setting(None, "basis.lambdas", _or_none(lambda x: [float(v) for v in x]))
+    # the object that basis_from_json decodes, whose kind and L default to a
+    # Dirichlet basis on [0, 1]; None: {}
+    basis: dict | None = _setting(None, "basis", _section)
     # None: 2 for state draws, 3 for data draws
     decay: float | None = _setting(None, "decay", float)
     coeffs: np.ndarray | None = _setting(None, "coeffs", _complex_pairs)
@@ -113,16 +108,14 @@ def load_config(path=None, args=None) -> ExperimentConfig:
     cfg = ExperimentConfig()
     for f in fields(cfg):
         *parents, key = f.metadata["path"].split(".")
-        section = obj
-        for name in parents:  # a null or empty "basis" or "oracle" counts as absent
-            section = section.get(name) or {}
-            if not isinstance(section, dict):
-                raise InvalidArgumentError(f"malformed config: {name} must be a JSON object")
-        if key in section:
-            try:
+        try:
+            section = obj
+            for name in parents:
+                section = _section(section.get(name), name)
+            if key in section:
                 setattr(cfg, f.name, f.metadata["cast"](section[key]))
-            except (TypeError, ValueError, ArithmeticError) as exc:
-                raise InvalidArgumentError(f"malformed config: {exc}") from exc
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise InvalidArgumentError(f"malformed config: {exc}") from exc
         for i, flag in enumerate(f.metadata["flags"]):
             given = getattr(args, flag[2:].replace("-", "_"), None)
             if given is not None and f.name == "r":
@@ -133,6 +126,8 @@ def load_config(path=None, args=None) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    if cfg.seed < 0:  # numpy's generators take no negative seed
+        raise InvalidArgumentError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.noise < 0:
         raise InvalidArgumentError(f"noise must be >= 0, got {cfg.noise}")
     if cfg.decay is not None and cfg.decay <= 1:
@@ -165,10 +160,15 @@ def _initial_state(cfg: ExperimentConfig, basis, default_decay: float) -> ModeCo
     return seeded_coefficients(basis, cfg.seed, cfg.decay if cfg.decay is not None else default_decay)
 
 
+def _relative(err, ref) -> np.ndarray:
+    """err / ref, elementwise; a zero reference gives the absolute error err."""
+    err, ref = np.asarray(err, dtype=float), np.asarray(ref, dtype=float)
+    return np.divide(err, ref, out=err.copy(), where=ref > 0)
+
+
 def _rel_err(a: ModeCoefficients, b: ModeCoefficients, order: int) -> float:
     diff = ModeCoefficients(a.values - b.values, a.basis)
-    ref = sobolev_norm(b, order)
-    return sobolev_norm(diff, order) / ref if ref > 0 else sobolev_norm(diff, order)
+    return float(_relative(sobolev_norm(diff, order), sobolev_norm(b, order)))
 
 
 def run(cfg: ExperimentConfig, command: str) -> dict:
@@ -184,12 +184,13 @@ def run(cfg: ExperimentConfig, command: str) -> dict:
               "conditioning": None, "timings": {}, "outputs": [str(out / f) for f in files]}
     t0 = time.perf_counter()
 
-    N = 64 if cfg.N is None and cfg.kind != CUSTOM else cfg.N  # custom: one per eigenvalue
+    obj = {"kind": DIRICHLET, "L": 1.0, **(cfg.basis or {})}
+    N = 64 if cfg.N is None and obj["kind"] != CUSTOM else cfg.N  # custom: one per eigenvalue
     if command == "oracle-check":  # the grid compares the lowest modes only
-        if cfg.kind != DIRICHLET:
+        if obj["kind"] != DIRICHLET:
             raise InvalidArgumentError("oracle-check supports Dirichlet bases only")
         N = min(cfg.oracle_modes, N)
-    basis = basis_from_json({"kind": cfg.kind, "L": cfg.L, "N": N, "cA": cfg.c_A, "lambdas": cfg.lambdas})
+    basis = basis_from_json({**obj, "N": N})
     # forward does not average, and sweep averages at one Re r per point
     params = None if command in ("forward", "sweep") else AveragingParams(cfg.r, cfg.T)
     state = None if decay is None else _initial_state(cfg, basis, decay)
@@ -248,10 +249,8 @@ def _run_roundtrip(cfg, out, report, basis, params, xi):
     xi_hat = recover_initial(mu_used, params)
     zeta_to_csv(zeta_factors(basis, params), out / "zeta.csv")
     abs_err = np.abs(xi_hat.values - xi.values)
-    denom = np.abs(xi.values)
-    rel_err = np.divide(abs_err, denom, out=abs_err.copy(), where=denom > 0)
     _write_csv(out / "errors.csv", "k,abs_error,rel_error",
-               [range(1, basis.mode_count + 1), abs_err, rel_err])
+               [range(1, basis.mode_count + 1), abs_err, _relative(abs_err, np.abs(xi.values))])
     report["well_posed"] = cfg.r.real != 0.0
     report["errors"] = {
         "roundtrip_rel_h": _rel_err(xi_hat, xi, 0),
@@ -271,12 +270,12 @@ def _run_conditioning(cfg, out, report, basis, params, _):
 def _run_oracle_check(cfg, out, report, basis, params, xi):
     n_cmp = basis.mode_count
     spectral_mu = apply_time_average(xi, params)
-    fd = FdConfig(cfg.oracle_M, cfg.oracle_dt, cfg.L)
+    fd = FdConfig(cfg.oracle_M, cfg.oracle_dt, basis.domain_length)
     t0 = time.perf_counter()
     oracle_mu = oracle_mu_coeffs(xi, params, fd)
     report["timings"]["oracle_s"] = time.perf_counter() - t0
-    rel = np.abs(oracle_mu.values - spectral_mu.values) / np.abs(spectral_mu.values)
     spec, orac = spectral_mu.values, oracle_mu.values
+    rel = _relative(np.abs(orac - spec), np.abs(spec))
     _write_csv(out / "errors.csv", "k,spectral_re,spectral_im,oracle_re,oracle_im,rel_error", [
         range(1, n_cmp + 1), spec.real, spec.imag, orac.real, orac.imag, rel,
     ])
@@ -288,15 +287,16 @@ def _run_sweep(cfg, out, report, basis, _, mu):
     # error column isolates the dependence on Re r
     delta = _perturbed(mu, cfg.noise, cfg.seed + 1).values - mu.values
     noise_h2 = sobolev_norm(ModeCoefficients(delta, basis), 2)
+    mu_used = ModeCoefficients(mu.values + delta, basis)
     r_re = sorted(float(x) for x in cfg.sweep_re)
     min_abs, errs_h, errs_h1, amps, bounds = [], [], [], [], []
     for re in r_re:
         params = AveragingParams(complex(re, cfg.r.imag), cfg.T)
-        # one factor evaluation per point; delta / z would move the error bits
-        z = _inverted_factors(basis, params, False)
-        diff = ModeCoefficients((mu.values + delta) / z.values - mu.values / z.values, basis)
+        # both inversions reuse the factors params keeps; delta / z would move the error bits
+        diff = ModeCoefficients(recover_initial(mu_used, params).values
+                                - recover_initial(mu, params).values, basis)
         err_h1 = sobolev_norm(diff, 1)
-        min_abs.append(z.min_abs)
+        min_abs.append(zeta_factors(basis, params).min_abs)
         errs_h.append(sobolev_norm(diff, 0))
         errs_h1.append(err_h1)
         amps.append(err_h1 / noise_h2 if noise_h2 > 0 else 0.0)

@@ -67,13 +67,12 @@ class Trajectory:
         object.__setattr__(self, "states", v)
 
 
-def _row_blocks(n_rows: int, n: int):
-    """Blocks of B = max(1, 16383 // n) rows, as slices, or as row numbers at
-    B = 1 so that every row stays 1-d.  B * n < _ELIDE_VALUES keeps each
-    temporary below numpy's elision size: an elided values * exp computes
-    exp * values, which differs in last bits."""
+def _row_blocks(n_rows: int, n: int) -> list:
+    """Slices of B = max(1, 16383 // n) rows: a block of several rows keeps
+    its phase temporary of B * n values under 256 KiB, a longer row is a
+    block of its own, and threads get whole rows."""
     b = max(1, (_ELIDE_VALUES - 1) // n)
-    return range(n_rows) if b == 1 else [slice(i, i + b) for i in range(0, n_rows, b)]
+    return [slice(i, i + b) for i in range(0, n_rows, b)]
 
 
 def _map_blocks(fn, blocks, n: int) -> list:
@@ -102,10 +101,9 @@ def _map_blocks(fn, blocks, n: int) -> list:
 
 def _require_finite(states: np.ndarray, times: np.ndarray) -> None:
     """Raise NumericError naming the first of ``times`` whose row of
-    ``states`` (one row per time, or one row at a scalar time) overflowed."""
+    ``states`` (one row per time) overflowed."""
     if not np.isfinite(states.view(float)).all():  # one scan of both parts
-        bad = ~np.isfinite(np.atleast_2d(states)).all(axis=-1)
-        t = np.atleast_1d(times)[bad][0]
+        t = times[~np.isfinite(states).all(axis=-1)][0]
         raise NumericError(f"trajectory overflows: the state at t = {t:.17g} is not finite")
 
 
@@ -118,10 +116,10 @@ def _evolve(values: np.ndarray, lam: np.ndarray, times: np.ndarray, index=None) 
     their exps are computed once per distinct eigenvalue and gathered into
     each row.
 
-    At B = 1 (N >= 8192) each row stays 1-d: numpy elides it from N =
-    _ELIDE_VALUES, but not a (1, N) block, whose bits would differ.  A row is
-    computed in place, from N = _ELIDE_VALUES on as the elided exp * values,
-    in that operand order, so that it needs no complex temporary of N values."""
+    Each block is written in place, with no complex temporary of its size.
+    Its product is values * exp below N = _ELIDE_VALUES and exp * values from
+    there on, as in a row loop where numpy elides exp from that size: complex
+    products are not bitwise commutative."""
     n = values.size
     out = np.empty((times.size, n), dtype=complex)
     # rounding is monotone, so a block holds a phase above _PHASE_REDUCE exactly

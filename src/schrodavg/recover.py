@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaging import AveragingParams, ZetaFactors, _cexpm1, _factors
+from .averaging import AveragingParams, _cexpm1, _factors
 from .errors import DegenerateModeError, IllPosedError
 from .evolve import Trajectory, _check_times, _require_finite, _trajectory, _trusted_trajectory
 from .spectral import ModeCoefficients, SpectralBasis, _write_csv, make_custom_basis, unit_floor_shift
@@ -26,9 +26,11 @@ _TINY = np.finfo(float).tiny  # the smallest normal double
 _LOG_MAX = math.log(np.finfo(float).max)  # exp(x) overflows exactly where x > _LOG_MAX
 
 
-def _inverted_factors(basis: SpectralBasis, params: AveragingParams, allow_ill_posed: bool) -> ZetaFactors:
-    """The ZetaFactors of (basis, params), once inversion may divide by them."""
-    f = _factors(basis, params)
+def recover_initial(
+    mu: ModeCoefficients, params: AveragingParams, *, allow_ill_posed: bool = False
+) -> ModeCoefficients:
+    """Initial state with alpha_k = gamma_k / zeta_k."""
+    f = _factors(mu.basis, params)
     if f.degenerate.size:
         # checked before the ill-posedness gate: vanishing factors are the
         # stronger obstruction and exactly what the Re r = 0 regime produces
@@ -38,15 +40,7 @@ def _inverted_factors(basis: SpectralBasis, params: AveragingParams, allow_ill_p
             "Re r = 0: inversion is ill-posed (factors can vanish and the "
             "stability constant diverges); pass allow_ill_posed=True to force"
         )
-    return f
-
-
-def recover_initial(
-    mu: ModeCoefficients, params: AveragingParams, *, allow_ill_posed: bool = False
-) -> ModeCoefficients:
-    """Initial state with alpha_k = gamma_k / zeta_k."""
-    z = _inverted_factors(mu.basis, params, allow_ill_posed).values
-    return ModeCoefficients(mu.values / z, mu.basis)
+    return ModeCoefficients(mu.values / f.values, mu.basis)
 
 
 def reconstruct_solution(

@@ -29,6 +29,9 @@ CUSTOM = "custom"
 
 _KINDS = (DIRICHLET, PERIODIC, CUSTOM)
 
+# below this norm, the squares of its coefficients may lose bits to underflow
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+
 
 def unit_floor_shift(lambdas) -> float:
     """Smallest nonnegative shift q such that min(lambdas) + q >= 1 in floating
@@ -260,9 +263,11 @@ def _norm_weights(basis: SpectralBasis, order: int) -> np.ndarray | None:
 
 def _weighted_norm(values: np.ndarray, w: np.ndarray | None, order: int) -> float:
     """Largest row norm sqrt(sum w |c|^2) over the last axis of ``values``,
-    w = 1 where w is None.  Where the plain sum overflows it is redone on
-    c / max|c|, so finite norms keep their bits; a largest norm still not
-    finite (the weights or a norm overflow; max passes NaN on) raises NumericError."""
+    w = 1 where w is None.  Where the plain sum overflows, or the largest norm
+    is below _SQRT_TINY (its squares may have underflowed), it is redone on
+    c / max|c|, a zero row staying 0, so other norms keep their bits; a largest
+    norm still not finite (the weights or a norm overflow; max passes NaN on)
+    raises NumericError."""
 
     def norm_of(c):
         sq = c.real**2 + c.imag**2
@@ -271,11 +276,11 @@ def _weighted_norm(values: np.ndarray, w: np.ndarray | None, order: int) -> floa
     with np.errstate(over="ignore", invalid="ignore"):
         norm = norm_of(values)
         top = float(norm.max())
-        if math.isfinite(top):
+        if _SQRT_TINY <= top < math.inf:
             return top
         m = np.abs(values).max(axis=-1, keepdims=True)
-        scaled = m[..., 0] * norm_of(values / m)
-        top = float(np.where(np.isfinite(norm), norm, scaled).max())
+        scaled = m[..., 0] * norm_of(np.divide(values, m, out=np.zeros_like(values), where=m > 0))
+        top = float(np.where((_SQRT_TINY <= norm) & (norm < math.inf), norm, scaled).max())
     if not math.isfinite(top):
         raise NumericError(f"order-{order} norm is not finite: its weights or its value overflow")
     return top

@@ -301,6 +301,8 @@ class TestConfigFile:
         ({"trajectory_steps": 3.7}, []),
         ({"basis": {"kind": "custom", "N": 7, "lambdas": [-2.0, 0.5, 3.0]}}, []),  # N != 3
         ({"basis": {"kind": "custom", "lambdas": [-2.0, 0.5, 3.0]}}, ["--N", "7"]),
+        ({"seed": -1}, []),  # numpy's generators take no negative seed
+        ({}, ["--seed", "-1"]),
     ])
     def test_refused_as_config_error(self, tmp_path, capsys, config, flags):
         cfg_path = tmp_path / "cfg.json"
@@ -321,6 +323,19 @@ class TestConfigFile:
         params = AveragingParams(1.0, 1.0)
         want = apply_time_average(ModeCoefficients([5.0, 7.0j], make_dirichlet_basis(1.0, 2)), params)
         assert spectral == list(want.values)
+
+    def test_oracle_check_zero_mode_gives_absolute_error(self, tmp_path):
+        # a zero spectral reference divides nothing: report.json stays standard JSON
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"basis": {"N": 2}, "coeffs": [[0, 0], [1, 0]]}))
+        out = tmp_path / "oc"
+        assert main(["oracle-check", "--config", str(cfg_path), "--out", str(out)]) == 0
+        report = strict_json((out / "report.json").read_text())
+        _, rows = read_csv(out / "errors.csv")
+        spec_re, spec_im, orac_re, orac_im, rel = (float(x) for x in rows[0][1:])
+        assert (spec_re, spec_im) == (0.0, 0.0)
+        assert rel == np.abs(complex(orac_re, orac_im))
+        assert report["errors"]["max_rel_error"] == max(float(row[-1]) for row in rows)
 
     def test_oracle_check_coefficients_must_match_compared_modes(self, tmp_path, capsys):
         # the default oracle.modes = 2 compares two modes, not three
@@ -467,8 +482,16 @@ CUSTOM_SHA256 = {
 }
 
 
+def strict_json(text):
+    """json.loads, refusing the NaN and Infinity that standard JSON lacks."""
+    def refuse(name):
+        raise ValueError(f"{name} is not standard JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def output_digests(tmp_path, commands, flags):
-    """{(command, file name): sha256} of every output but report.json."""
+    """{(command, file name): sha256} of every output but report.json, which
+    must parse as standard JSON."""
     got = {}
     for command in commands:
         out = tmp_path / command
@@ -476,6 +499,7 @@ def output_digests(tmp_path, commands, flags):
         for f in out.iterdir():
             if f.name != "report.json":
                 got[(command, f.name)] = hashlib.sha256(f.read_bytes()).hexdigest()
+        strict_json((out / "report.json").read_text())
     return got
 
 

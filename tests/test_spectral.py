@@ -174,6 +174,22 @@ class TestNorms:
         traj = sample_trajectory(ModeCoefficients([1e200, 1.0], b), 1.0, 4)
         assert trajectory_sup_norm(traj, 0) == pytest.approx(1e200, rel=1e-15)
 
+    def test_underflowing_squares_rescaled(self):
+        # |1e-200|^2 underflows to 0; the norm itself is a normal double
+        b = make_dirichlet_basis(1.0, 2)
+        assert sobolev_norm(ModeCoefficients([1e-200, 0.0], b), 0) == 1e-200
+        assert sobolev_norm(ModeCoefficients([3e-200, 4e-200], b), 0) == 5e-200
+        assert sobolev_norm(ModeCoefficients([1e-200, 0.0], b), 1) == pytest.approx(np.pi * 1e-200, rel=1e-15)
+        traj = sample_trajectory(ModeCoefficients([1e-170, 1e-170j], b), 1.0, 2)
+        assert trajectory_sup_norm(traj, 0) == pytest.approx(np.sqrt(2.0) * 1e-170, rel=1e-15)
+
+    def test_zero_rows_stay_zero_when_rescaled(self):
+        # the rescaled route divides no zero row by its zero maximum
+        b = make_dirichlet_basis(1.0, 2)
+        for order in (0, 1, 2):
+            assert sobolev_norm(ModeCoefficients([0.0, 0.0], b), order) == 0.0
+        assert _weighted_norm(np.array([[0.0, 0.0], [1e-200, 0.0]], dtype=complex), None, 0) == 1e-200
+
     @pytest.mark.filterwarnings("error")  # NumericError is the only signal
     @pytest.mark.parametrize("values", [[1.0, 1.0], [1.0, 0.0]])
     def test_overflowing_weight_named(self, values):
