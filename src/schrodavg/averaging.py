@@ -12,11 +12,12 @@ with the removable singularity at r = i lambda_k taking the value T.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _positive, _vector
 from .evolve import _map_blocks, _row_blocks
 from .spectral import ModeCoefficients, SpectralBasis, _norm_weights, _write_csv
 
@@ -38,13 +39,10 @@ class AveragingParams:
 
     def __post_init__(self):
         r = complex(self.r)
-        T = float(self.T)
-        if not (np.isfinite(r.real) and np.isfinite(r.imag)):
+        if not cmath.isfinite(r):
             raise InvalidArgumentError("r must be finite")
-        if not (np.isfinite(T) and T > 0):
-            raise InvalidArgumentError(f"T must be positive and finite, got {T}")
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "T", _positive(self.T, "T"))
         object.__setattr__(self, "_memo", None)  # the ZetaFactors of _factors
 
 
@@ -115,11 +113,11 @@ def _factors(basis: SpectralBasis, params: AveragingParams) -> ZetaFactors:
 def zeta_factor(r: complex, T: float, lam: float) -> complex:
     """The averaging factor (exp((r - i lam) T) - 1) / (r - i lam).
 
-    Total on all finite inputs; returns exactly T at the removable
-    singularity r = i lam.
+    Total on all finite inputs, refusing others with InvalidArgumentError;
+    returns exactly T at the removable singularity r = i lam.
     """
     params = AveragingParams(r, T)  # validates r, T
-    return complex(_zeta_values(params.r, params.T, np.asarray([float(lam)]))[0])
+    return complex(_zeta_values(params.r, params.T, _vector([lam], float, "lam"))[0])
 
 
 def zeta_factors(basis: SpectralBasis, params: AveragingParams) -> ZetaFactors:

@@ -1,4 +1,10 @@
-"""Exception taxonomy for the package."""
+"""Exception taxonomy for the package, and the three argument rules that
+every entry point applies to its counts, positive scalars and vectors."""
+
+import math
+import numbers
+
+import numpy as np
 
 
 class SchrodavgError(Exception):
@@ -7,6 +13,34 @@ class SchrodavgError(Exception):
 
 class InvalidArgumentError(SchrodavgError, ValueError):
     """An argument violates a documented precondition."""
+
+
+def _positive(x, name: str) -> float:
+    """float(x), refusing a value that is not positive and finite."""
+    v = float(x)
+    if not 0.0 < v < math.inf:  # nan fails both comparisons
+        raise InvalidArgumentError(f"{name} must be positive and finite, got {v}")
+    return v
+
+
+def _count(n, name: str, least: int) -> int:
+    """int(n) for an integral number n >= least: 4.0 counts, 3.7, inf, nan and "4" do not."""
+    integral = isinstance(n, numbers.Integral) or isinstance(n, numbers.Real) and float(n).is_integer()
+    if not integral or n < least:
+        raise InvalidArgumentError(f"{name} must be an integer >= {least}, got {n!r}")
+    return int(n)
+
+
+def _vector(x, dtype, name: str, size: int | None = None) -> np.ndarray:
+    """A read-only, finite, nonempty 1-d copy of x as dtype, of ``size`` values if given."""
+    v = np.array(x, dtype=dtype)
+    if v.ndim != 1 or v.size == 0 or (size is not None and v.size != size):
+        want = "nonempty" if size is None else f"{size}-value"
+        raise InvalidArgumentError(f"{name} must be a {want} 1-d vector, got shape {v.shape}")
+    if not np.isfinite(v).all():  # a complex is finite when both parts are
+        raise InvalidArgumentError(f"{name} must be finite")
+    v.setflags(write=False)
+    return v
 
 
 class NumericError(SchrodavgError):

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericError
+from .errors import InvalidArgumentError, NumericError, _count, _positive
 from .spectral import ModeCoefficients, SpectralBasis, _norm_weights, _weighted_norm, _write_csv, basis_to_json
 
 # beyond this phase magnitude, fold mod 2*pi before exponentiating: for speed
@@ -170,7 +171,7 @@ def _trusted_trajectory(times: np.ndarray, states: np.ndarray, basis: SpectralBa
 def propagate(xi: ModeCoefficients, t: float) -> ModeCoefficients:
     """Multiply mode k by exp(-i lambda_k t); modulus is preserved per mode."""
     t = float(t)
-    if not np.isfinite(t):
+    if not math.isfinite(t):
         raise InvalidArgumentError("time must be finite")
     lam, index = xi.basis._distinct
     return ModeCoefficients(_evolve(xi.values, lam, np.array([t]), index)[0], xi.basis)
@@ -178,11 +179,8 @@ def propagate(xi: ModeCoefficients, t: float) -> ModeCoefficients:
 
 def sample_trajectory(xi: ModeCoefficients, T: float, steps: int) -> Trajectory:
     """Uniform sampling t_j = j T / steps, j = 0..steps."""
-    if not (np.isfinite(T) and T > 0):
-        raise InvalidArgumentError(f"horizon T must be positive, got {T}")
-    if int(steps) != steps or steps < 1:
-        raise InvalidArgumentError(f"steps must be a positive integer, got {steps}")
-    return _trajectory(xi.values, xi.basis, _check_times(np.linspace(0.0, float(T), int(steps) + 1)))
+    T, steps = _positive(T, "T"), _count(steps, "steps", 1)
+    return _trajectory(xi.values, xi.basis, _check_times(np.linspace(0.0, T, steps + 1)))
 
 
 def trajectory_sup_norm(traj: Trajectory, order: int) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import AveragingParams
-from .errors import InvalidArgumentError, NumericError
+from .errors import InvalidArgumentError, NumericError, _count, _positive, _vector
 from .spectral import (
     DIRICHLET,
     ModeCoefficients,
@@ -43,15 +43,9 @@ class FdConfig:
     L: float = 1.0
 
     def __post_init__(self):
-        if int(self.interior_points) != self.interior_points or self.interior_points < 3:
-            raise InvalidArgumentError("need at least 3 interior points")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise InvalidArgumentError(f"dt must be positive, got {self.dt}")
-        if not (np.isfinite(self.L) and self.L > 0):
-            raise InvalidArgumentError(f"L must be positive, got {self.L}")
-        object.__setattr__(self, "interior_points", int(self.interior_points))
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "L", float(self.L))
+        object.__setattr__(self, "interior_points", _count(self.interior_points, "interior_points", 3))
+        object.__setattr__(self, "dt", _positive(self.dt, "dt"))
+        object.__setattr__(self, "L", _positive(self.L, "L"))
 
     @property
     def h(self) -> float:
@@ -65,13 +59,7 @@ class GridState:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=complex)
-        if v.ndim != 1 or v.size == 0:
-            raise InvalidArgumentError("grid state must be a nonempty 1-d vector")
-        if not np.isfinite(v).all():
-            raise InvalidArgumentError("grid state must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _vector(self.values, complex, "grid state"))
 
 
 def _rhs_apply(values: np.ndarray, c: complex) -> np.ndarray:
@@ -117,11 +105,9 @@ def cn_step(state: GridState, cfg: FdConfig) -> GridState:
 
 
 def _step_count(T: float, dt: float) -> int:
-    n = int(round(T / dt))
-    if n < 2 or abs(n * dt - T) > 1.0e-9 * max(T, 1.0):
-        raise InvalidArgumentError(
-            f"T/dt = {T / dt:.6g} must be an integer number of steps (>= 2)"
-        )
+    n = _count(float(np.rint(T / dt)), "round(T/dt)", 2)  # T / dt may overflow to inf
+    if abs(n * dt - T) > 1.0e-9 * max(T, 1.0):
+        raise InvalidArgumentError(f"T/dt = {T / dt:.6g} must be an integer number of steps")
     if n % 2 != 0:
         raise InvalidArgumentError(f"step count {n} must be even for Simpson pairing")
     return n

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericError
+from .errors import InvalidArgumentError, NumericError, _count, _positive, _vector
 
 DIRICHLET = "dirichlet_interval"
 PERIODIC = "periodic_interval"
@@ -95,20 +95,14 @@ class SpectralBasis:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidArgumentError(f"unknown basis kind {self.kind!r}")
-        L = float(self.domain_length)
-        if not (np.isfinite(L) and L > 0):
-            raise InvalidArgumentError("domain_length must be positive and finite")
-        lam = np.array(self.lambdas, dtype=float)
-        if lam.ndim != 1 or lam.size == 0:
-            raise InvalidArgumentError("lambdas must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(lam)):
-            raise InvalidArgumentError("lambdas must be finite")
+        L = _positive(self.domain_length, "domain_length")
+        lam = _vector(self.lambdas, float, "lambdas")
         if np.any(np.diff(lam) < 0):
             raise InvalidArgumentError("lambdas must be nondecreasing")
         cA = unit_floor_shift(lam) if self.c_A is None else float(self.c_A)
         if self.c_A is None and cA == math.inf:
             raise InvalidArgumentError(f"min(lambda) = {lam[0]} leaves no finite default c_A")
-        if not (np.isfinite(cA) and cA >= 0):
+        if not 0.0 <= cA < math.inf:
             raise InvalidArgumentError("c_A must be nonnegative and finite")
         if lam[0] + cA <= 0:
             raise InvalidArgumentError(
@@ -118,7 +112,6 @@ class SpectralBasis:
         labels = np.array(self.labels, dtype=int)
         if labels.shape != lam.shape:
             raise InvalidArgumentError("labels must match lambdas in shape")
-        lam.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "domain_length", L)
         object.__setattr__(self, "lambdas", lam)
@@ -132,31 +125,15 @@ class SpectralBasis:
         return int(self.lambdas.size)
 
 
-def _check_L_N(L, N) -> None:
-    if not (np.isfinite(L) and L > 0):
-        raise InvalidArgumentError(f"L must be positive, got {L}")
-    if int(N) != N or N < 1:
-        raise InvalidArgumentError(f"mode count must be a positive integer, got {N}")
-
-
 def make_dirichlet_basis(L: float, N: int, c_A: float | None = None) -> SpectralBasis:
     """Dirichlet Laplacian on [0, L]: lambda_k = (k pi / L)^2, k = 1..N.
 
     Eigenfunctions are v_k(x) = sqrt(2/L) sin(k pi x / L), orthonormal in L2.
     c_A=None applies the default policy ``unit_floor_shift``.
     """
-    _check_L_N(L, N)
-    k = np.arange(1, int(N) + 1)
+    L, k = _positive(L, "L"), np.arange(1, _count(N, "N", 1) + 1)
     lam = (k * np.pi / L) ** 2
-    return SpectralBasis(DIRICHLET, float(L), lam, c_A, k)
-
-
-def _periodic_labels(N: int) -> np.ndarray:
-    out = np.zeros(N, dtype=int)
-    for i in range(1, N):
-        j = (i + 1) // 2
-        out[i] = j if i % 2 == 1 else -j
-    return out
+    return SpectralBasis(DIRICHLET, L, lam, c_A, k)
 
 
 def make_periodic_basis(L: float, N: int, c_A: float | None = None) -> SpectralBasis:
@@ -165,10 +142,10 @@ def make_periodic_basis(L: float, N: int, c_A: float | None = None) -> SpectralB
     lambda_m = (2 pi m / L)^2 and v_m(x) = exp(2 pi i m x / L) / sqrt(L).
     The frequency ordering keeps the eigenvalues nondecreasing.
     """
-    _check_L_N(L, N)
-    m = _periodic_labels(int(N))
+    L, m = _positive(L, "L"), (np.arange(_count(N, "N", 1)) + 1) // 2  # 0, 1, 1, 2, 2, ...
+    m[2::2] *= -1
     lam = (2.0 * np.pi * m / L) ** 2
-    return SpectralBasis(PERIODIC, float(L), lam, c_A, m)
+    return SpectralBasis(PERIODIC, L, lam, c_A, m)
 
 
 def make_custom_basis(
@@ -195,16 +172,7 @@ class ModeCoefficients:
     basis: SpectralBasis
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=complex)
-        if v.ndim != 1:
-            raise InvalidArgumentError("coefficient vector must be 1-d")
-        if v.size != self.basis.mode_count:
-            raise InvalidArgumentError(
-                f"coefficient length {v.size} != basis mode count {self.basis.mode_count}"
-            )
-        if not np.isfinite(v).all():  # a complex is finite when both parts are
-            raise InvalidArgumentError("coefficients must be finite")
-        v.setflags(write=False)
+        v = _vector(self.values, complex, "coefficients", self.basis.mode_count)
         object.__setattr__(self, "values", v)
 
 
@@ -216,25 +184,18 @@ class SpatialGrid:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
-        if int(self.point_count) != self.point_count or self.point_count < 3:
-            raise InvalidArgumentError("grid needs at least 3 points")
-        if pts.ndim != 1 or pts.size != self.point_count:
-            raise InvalidArgumentError("points must match point_count")
-        if not np.all(np.isfinite(pts)) or np.any(np.diff(pts) <= 0):
-            raise InvalidArgumentError("points must be finite and strictly increasing")
-        pts.setflags(write=False)
-        object.__setattr__(self, "point_count", int(self.point_count))
+        n = _count(self.point_count, "point_count", 3)
+        pts = _vector(self.points, float, "points", n)
+        if np.any(np.diff(pts) <= 0):
+            raise InvalidArgumentError("points must be strictly increasing")
+        object.__setattr__(self, "point_count", n)
         object.__setattr__(self, "points", pts)
 
 
 def uniform_grid(L: float, M: int) -> SpatialGrid:
     """M equispaced points on [0, L] including both endpoints."""
-    if not (np.isfinite(L) and L > 0):
-        raise InvalidArgumentError(f"L must be positive, got {L}")
-    if int(M) != M or M < 3:
-        raise InvalidArgumentError(f"M must be an integer >= 3, got {M}")
-    return SpatialGrid(int(M), np.linspace(0.0, float(L), int(M)))
+    M = _count(M, "M", 3)
+    return SpatialGrid(M, np.linspace(0.0, _positive(L, "L"), M))
 
 
 def _norm_weights(basis: SpectralBasis, order: int) -> np.ndarray | None:
@@ -264,23 +225,26 @@ def _norm_weights(basis: SpectralBasis, order: int) -> np.ndarray | None:
 def _weighted_norm(values: np.ndarray, w: np.ndarray | None, order: int) -> float:
     """Largest row norm sqrt(sum w |c|^2) over the last axis of ``values``,
     w = 1 where w is None.  Where the plain sum overflows, or the largest norm
-    is below _SQRT_TINY (its squares may have underflowed), it is redone on
-    c / max|c|, a zero row staying 0, so other norms keep their bits; a largest
-    norm still not finite (the weights or a norm overflow; max passes NaN on)
-    raises NumericError."""
+    is below lo = _SQRT_TINY sqrt(max w) (its squares may have underflowed; at
+    or above lo each square that did moves the sum by at most 2^-53 of it), it
+    is redone on c / max|c|, a zero row staying 0, so other norms keep their
+    bits; a largest norm still not finite (the weights or a norm overflow; max
+    passes NaN on) raises NumericError."""
 
     def norm_of(c):
         sq = c.real**2 + c.imag**2
         return np.sqrt((sq if w is None else w * sq).sum(-1))
 
+    # a basis's weights are lam + c_A or lam^2 + c_A of nondecreasing lam: largest at an end
+    lo = _SQRT_TINY if w is None else _SQRT_TINY * math.sqrt(max(w[0], w[-1]))
     with np.errstate(over="ignore", invalid="ignore"):
         norm = norm_of(values)
         top = float(norm.max())
-        if _SQRT_TINY <= top < math.inf:
+        if lo <= top < math.inf:
             return top
         m = np.abs(values).max(axis=-1, keepdims=True)
         scaled = m[..., 0] * norm_of(np.divide(values, m, out=np.zeros_like(values), where=m > 0))
-        top = float(np.where((_SQRT_TINY <= norm) & (norm < math.inf), norm, scaled).max())
+        top = float(np.where((lo <= norm) & (norm < math.inf), norm, scaled).max())
     if not math.isfinite(top):
         raise NumericError(f"order-{order} norm is not finite: its weights or its value overflow")
     return top

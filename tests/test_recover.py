@@ -3,6 +3,7 @@
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -340,7 +341,6 @@ class TestStabilityBound:
 
     @pytest.mark.parametrize("r, T", EXTREME)
     def test_matches_mpmath_where_abs_r_or_the_weight_overflows(self, r, T):
-        mpmath = pytest.importorskip("mpmath")
         params = AveragingParams(r, T)
         with mpmath.workdps(50):
             x = mpmath.mpf(params.r.real) * mpmath.mpf(params.T)

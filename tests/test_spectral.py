@@ -4,6 +4,7 @@ import json
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -85,11 +86,18 @@ class TestBasisConstruction:
             old = max(0.0, 1.0 - x)
             assert unit_floor_shift([x]) == old or x + old < 1.0, x
 
-    def test_periodic_frequency_ordering(self):
-        b = make_periodic_basis(1.0, 6)
-        assert list(b.labels) == [0, 1, -1, 2, -2, 3]
+    @pytest.mark.parametrize("N", [1, 2, 3, 6, 2**16])
+    def test_periodic_frequency_ordering(self, N):
+        b = make_periodic_basis(1.0, N)
+        assert list(b.labels[:6]) == [0, 1, -1, 2, -2, 3][:N]
         assert np.allclose(b.lambdas, (2 * np.pi * b.labels) ** 2)
         assert np.all(np.diff(b.lambdas) >= 0)
+        # the loop that built the labels before the closed form replaced it
+        ref = np.zeros(N, dtype=int)
+        for i in range(1, N):
+            j = (i + 1) // 2
+            ref[i] = j if i % 2 == 1 else -j
+        assert b.labels.dtype == ref.dtype and np.array_equal(b.labels, ref)
 
     def test_custom_requires_sorted_finite(self):
         with pytest.raises(InvalidArgumentError):
@@ -189,6 +197,21 @@ class TestNorms:
         for order in (0, 1, 2):
             assert sobolev_norm(ModeCoefficients([0.0, 0.0], b), order) == 0.0
         assert _weighted_norm(np.array([[0.0, 0.0], [1e-200, 0.0]], dtype=complex), None, 0) == 1e-200
+
+    @pytest.mark.parametrize("lambdas, values, order", [
+        ([1e20], [1.2345e-161], 1),  # |c|^2 is subnormal, w |c|^2 is not
+        ([1e20], [1e-160], 1),
+        ([1e20], [1e-170j], 2),
+        ([1.0, 1e20], [1e-150, 3e-161 + 4e-161j], 1),
+        ([1.0, 1e20], [3e-150, 0.0], 1),  # the huge weight sits on a zero
+    ])
+    def test_tiny_coefficients_under_large_weights(self, lambdas, values, order):
+        c = ModeCoefficients(values, make_custom_basis(lambdas, 1.0, 0.0))
+        with mpmath.workdps(50):
+            ref = mpmath.sqrt(sum(mpmath.mpf(lam) ** order * abs(mpmath.mpc(v)) ** 2
+                                  for lam, v in zip(lambdas, values)))
+            expected = float(ref)
+        assert sobolev_norm(c, order) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     @pytest.mark.filterwarnings("error")  # NumericError is the only signal
     @pytest.mark.parametrize("values", [[1.0, 1.0], [1.0, 0.0]])
