@@ -16,10 +16,11 @@ class InvalidArgumentError(SchrodavgError, ValueError):
 
 
 def _positive(x, name: str) -> float:
-    """float(x), refusing a value that is not positive and finite."""
-    v = float(x)
+    """float(x) for a real number x that is positive and finite: 0, inf, nan,
+    "1", None and 1j are refused."""
+    v = float(x) if isinstance(x, numbers.Real) else math.nan
     if not 0.0 < v < math.inf:  # nan fails both comparisons
-        raise InvalidArgumentError(f"{name} must be positive and finite, got {v}")
+        raise InvalidArgumentError(f"{name} must be positive and finite, got {x!r}")
     return v
 
 
@@ -32,8 +33,13 @@ def _count(n, name: str, least: int) -> int:
 
 
 def _vector(x, dtype, name: str, size: int | None = None) -> np.ndarray:
-    """A read-only, finite, nonempty 1-d copy of x as dtype, of ``size`` values if given."""
-    v = np.array(x, dtype=dtype)
+    """A read-only, finite, nonempty 1-d copy of x as dtype, of ``size`` values
+    if given; values numpy cannot read as dtype (None, "abc", 1j as a float,
+    ragged lists) are refused."""
+    try:
+        v = np.array(x, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"{name} must be a vector of numbers: {exc}") from exc
     if v.ndim != 1 or v.size == 0 or (size is not None and v.size != size):
         want = "nonempty" if size is None else f"{size}-value"
         raise InvalidArgumentError(f"{name} must be a {want} 1-d vector, got shape {v.shape}")

@@ -179,7 +179,8 @@ def propagate(xi: ModeCoefficients, t: float) -> ModeCoefficients:
 
 def sample_trajectory(xi: ModeCoefficients, T: float, steps: int) -> Trajectory:
     """Uniform sampling t_j = j T / steps, j = 0..steps."""
-    T, steps = _positive(T, "T"), _count(steps, "steps", 1)
+    T = _positive(T, "T")
+    steps = _count(steps, "steps", 1)
     return _trajectory(xi.values, xi.basis, _check_times(np.linspace(0.0, T, steps + 1)))
 
 

@@ -131,7 +131,8 @@ def make_dirichlet_basis(L: float, N: int, c_A: float | None = None) -> Spectral
     Eigenfunctions are v_k(x) = sqrt(2/L) sin(k pi x / L), orthonormal in L2.
     c_A=None applies the default policy ``unit_floor_shift``.
     """
-    L, k = _positive(L, "L"), np.arange(1, _count(N, "N", 1) + 1)
+    L = _positive(L, "L")
+    k = np.arange(1, _count(N, "N", 1) + 1)
     lam = (k * np.pi / L) ** 2
     return SpectralBasis(DIRICHLET, L, lam, c_A, k)
 
@@ -142,7 +143,8 @@ def make_periodic_basis(L: float, N: int, c_A: float | None = None) -> SpectralB
     lambda_m = (2 pi m / L)^2 and v_m(x) = exp(2 pi i m x / L) / sqrt(L).
     The frequency ordering keeps the eigenvalues nondecreasing.
     """
-    L, m = _positive(L, "L"), (np.arange(_count(N, "N", 1)) + 1) // 2  # 0, 1, 1, 2, 2, ...
+    L = _positive(L, "L")
+    m = (np.arange(_count(N, "N", 1)) + 1) // 2  # 0, 1, 1, 2, 2, ...
     m[2::2] *= -1
     lam = (2.0 * np.pi * m / L) ** 2
     return SpectralBasis(PERIODIC, L, lam, c_A, m)
@@ -159,9 +161,9 @@ def make_custom_basis(
     Without an ``eigenfunctions`` callable the basis supports every
     coefficient-space operation but not grid synthesis/projection.
     """
-    lam = np.asarray(lambdas, dtype=float)
+    lam = _vector(lambdas, float, "lambdas")
     labels = np.arange(1, lam.size + 1)
-    return SpectralBasis(CUSTOM, float(domain_length), lam, c_A, labels, eigenfunctions)
+    return SpectralBasis(CUSTOM, domain_length, lam, c_A, labels, eigenfunctions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,8 +227,9 @@ def _norm_weights(basis: SpectralBasis, order: int) -> np.ndarray | None:
 def _weighted_norm(values: np.ndarray, w: np.ndarray | None, order: int) -> float:
     """Largest row norm sqrt(sum w |c|^2) over the last axis of ``values``,
     w = 1 where w is None.  Where the plain sum overflows, or the largest norm
-    is below lo = _SQRT_TINY sqrt(max w) (its squares may have underflowed; at
-    or above lo each square that did moves the sum by at most 2^-53 of it), it
+    is below lo = _SQRT_TINY sqrt(max(1, max w)) (its squares or their
+    products with w may have underflowed; at or above lo each |c|^2 or
+    w |c|^2 that did moves the sum by at most 2^-53 of it), it
     is redone on c / max|c|, a zero row staying 0, so other norms keep their
     bits; a largest norm still not finite (the weights or a norm overflow; max
     passes NaN on) raises NumericError."""
@@ -236,7 +239,7 @@ def _weighted_norm(values: np.ndarray, w: np.ndarray | None, order: int) -> floa
         return np.sqrt((sq if w is None else w * sq).sum(-1))
 
     # a basis's weights are lam + c_A or lam^2 + c_A of nondecreasing lam: largest at an end
-    lo = _SQRT_TINY if w is None else _SQRT_TINY * math.sqrt(max(w[0], w[-1]))
+    lo = _SQRT_TINY if w is None else _SQRT_TINY * math.sqrt(max(1.0, w[0], w[-1]))
     with np.errstate(over="ignore", invalid="ignore"):
         norm = norm_of(values)
         top = float(norm.max())

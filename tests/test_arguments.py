@@ -84,13 +84,15 @@ def test_counts_are_kept_as_ints():
     assert sample_trajectory(XI, 1.0, 4.0).times.size == 5
 
 
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0, 0.0, -1], ids=repr)
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 0, 0.0, -1, "1", None, 1j], ids=repr)
 @pytest.mark.parametrize("arg", POSITIVE)
 def test_positive_scalars_refused(arg, bad):
     refused(POSITIVE[arg], bad, arg.split()[0])
 
 
-@pytest.mark.parametrize("bad", [[1.0, np.nan, 3.0], [1.0, 2.0, np.inf], [], [[1.0, 2.0, 3.0]]], ids=repr)
+@pytest.mark.parametrize("bad", [
+    [1.0, np.nan, 3.0], [1.0, 2.0, np.inf], [], [[1.0, 2.0, 3.0]], [1.0, None, 3.0], ["a", "b", "c"], [[1.0], 2.0, 3.0],
+], ids=repr)
 @pytest.mark.parametrize("arg", VECTORS)
 def test_vectors_refused(arg, bad):
     refused(VECTORS[arg][0], bad, arg)

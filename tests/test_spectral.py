@@ -204,6 +204,7 @@ class TestNorms:
         ([1e20], [1e-170j], 2),
         ([1.0, 1e20], [1e-150, 3e-161 + 4e-161j], 1),
         ([1.0, 1e20], [3e-150, 0.0], 1),  # the huge weight sits on a zero
+        ([1e-300], [3e-12], 1),  # w |c|^2 is subnormal, |c|^2 is not
     ])
     def test_tiny_coefficients_under_large_weights(self, lambdas, values, order):
         c = ModeCoefficients(values, make_custom_basis(lambdas, 1.0, 0.0))
