@@ -104,8 +104,14 @@ def cn_step(state: GridState, cfg: FdConfig) -> GridState:
     return GridState(_cn_stepper(cfg)(state.values))
 
 
+# the most steps a run may take, refused before its Simpson weights are allocated
+_MAX_STEPS = 10**7
+
+
 def _step_count(T: float, dt: float) -> int:
     n = _count(float(np.rint(T / dt)), "round(T/dt)", 2)  # T / dt may overflow to inf
+    if n > _MAX_STEPS:
+        raise InvalidArgumentError(f"round(T/dt) = {n:.10g} exceeds the budget of {_MAX_STEPS} steps")
     if abs(n * dt - T) > 1.0e-9 * max(T, 1.0):
         raise InvalidArgumentError(f"T/dt = {T / dt:.6g} must be an integer number of steps")
     if n % 2 != 0:

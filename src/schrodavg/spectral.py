@@ -320,11 +320,7 @@ def project_from_grid(samples, basis: SpectralBasis, grid: SpatialGrid) -> ModeC
     The grid must resolve the highest retained mode; M >= 8N is a sound
     default for the presets.
     """
-    y = np.asarray(samples)
-    if y.ndim != 1 or y.size != grid.point_count:
-        raise InvalidArgumentError(
-            f"sample length {y.size} != grid point count {grid.point_count}"
-        )
+    y = _vector(samples, complex, "samples", grid.point_count)
     V = _mode_matrix(basis, grid.points)
     vals = _simpson(y[:, None] * np.conj(V), grid.points)
     return ModeCoefficients(vals, basis)
@@ -410,26 +406,25 @@ _CSV_BLOCK_ROWS = 4096
 
 
 def _write_csv(path, header: str, columns) -> None:
-    """Write ``header`` and the rows of ``columns`` (1-d arrays or sequences).
-
-    Integer columns print as %d, string columns as %s and all others as %.17g,
-    enough digits to round-trip a double.  Each block of rows is formatted by
-    one %-operation, and only that block is held as text.
-    """
-    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
-    n_rows = len(cols[0]) if cols else 0
+    """Write ``header`` and the rows of ``columns``, arrays or sequences of one
+    1-d or 2-d shape whose values in C order are the rows.  By dtype, strings
+    and objects print as %s, integers as %d and the rest as %.17g, which
+    round-trips a double.  Only a block of at most _CSV_BLOCK_ROWS values of
+    one row is held as Python values and text, formatted by one %-operation."""
+    cols = [np.atleast_2d(c) for c in columns]
+    if len({c.shape for c in cols}) != 1 or cols[0].ndim != 2:
+        raise InvalidArgumentError("CSV columns must share one 1-d or 2-d shape")
+    outer, inner = cols[0].shape
     width = len(cols)
-    if any(len(c) != n_rows for c in cols):
-        raise InvalidArgumentError("CSV columns must have equal lengths")
     row_fmt = ",".join(
-        "%s" if isinstance(x, str) else "%d" if isinstance(x, int) else "%.17g"
-        for x in (c[0] if c else 0.0 for c in cols)
+        "%s" if c.dtype.kind in "UO" else "%d" if c.dtype.kind in "iu" else "%.17g" for c in cols
     ) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for a in range(0, n_rows, _CSV_BLOCK_ROWS):
-            m = min(_CSV_BLOCK_ROWS, n_rows - a)
-            flat = [None] * (width * m)
-            for j, c in enumerate(cols):
-                flat[j::width] = c[a : a + m]
-            fh.write((row_fmt * m) % tuple(flat))
+        for i in range(outer):
+            for a in range(0, inner, _CSV_BLOCK_ROWS):
+                m = min(_CSV_BLOCK_ROWS, inner - a)
+                flat = [None] * (width * m)
+                for j, c in enumerate(cols):
+                    flat[j::width] = c[i, a : a + m].tolist()
+                fh.write((row_fmt * m) % tuple(flat))

@@ -19,6 +19,7 @@ settings.register_profile(
     "numeric",
     deadline=None,
     max_examples=60,
+    derandomize=True,  # the same examples on every run, so a failure reproduces
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("numeric")

@@ -19,11 +19,13 @@ from schrodavg import (
     make_dirichlet_basis,
     make_periodic_basis,
     oracle_time_average,
+    project_from_grid,
     propagate,
     sample_trajectory,
     uniform_grid,
     zeta_factor,
 )
+from schrodavg.fd_oracle import _MAX_STEPS, _step_count
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -114,7 +116,22 @@ def test_non_finite_scalars_refused(bad):
     refused(lambda x: propagate(XI, x), bad, "time")
 
 
-def test_step_count_that_overflows_refused():
-    # T / dt = 1e300 / 1e-300 overflows to inf, which has no nearest integer
-    params, cfg = AveragingParams(1.0, 1e300), FdConfig(16, 1e-300)
+@pytest.mark.parametrize("T, dt", [(1e300, 1e-300), (1e300, 1e-5), ((_MAX_STEPS + 2) * 1e-5, 1e-5)],
+                         ids=["T/dt overflows", "1e305 steps", "budget + 2"])
+def test_step_count_refused(T, dt):
+    # T / dt = 1e300 / 1e-300 overflows to inf, which has no nearest integer;
+    # a count over the budget is refused before its Simpson weights are allocated
+    params, cfg = AveragingParams(1.0, T), FdConfig(16, dt)
     refused(lambda g: oracle_time_average(g, params, cfg), GridState(np.ones(16)), "T/dt")
+
+
+def test_step_budget_is_inclusive():
+    assert _step_count(_MAX_STEPS * 1e-5, 1e-5) == _MAX_STEPS
+
+
+@pytest.mark.parametrize("bad", [
+    np.where(np.arange(33) == 5, np.nan, 0.0), np.ones((33, 1)), ["a"] * 33, np.ones(32), np.ones(34),
+], ids=["nan", "2-d", "strings", "short", "long"])
+def test_grid_samples_refused(bad):
+    basis, grid = make_dirichlet_basis(1.0, 4), uniform_grid(1.0, 33)
+    refused(lambda v: project_from_grid(v, basis, grid), bad, "samples")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from schrodavg import (
     sobolev_norm,
     trajectory_sup_norm,
 )
+import schrodavg.spectral
 from schrodavg.evolve import _THREAD_MIN_VALUES, _check_times, _evolve, _require_finite, trajectory_to_csv
 
 
@@ -394,3 +396,17 @@ class TestCsvExport:
         assert complex(float(re0), float(im0)) == traj.states[0, 0]
         meta = json.loads((tmp_path / "trajectory.meta.json").read_text())
         assert meta == {"kind": "dirichlet_interval", "L": 1.0, "N": 3, "cA": 0.0}
+
+    def test_memory_is_held_per_block(self, tmp_path, monkeypatch):
+        # 40 times x 512 modes = 20480 rows, written 64 rows at a time: building
+        # whole columns as Python lists held about 2 MiB of them
+        monkeypatch.setattr(schrodavg.spectral, "_CSV_BLOCK_ROWS", 64)
+        b = make_dirichlet_basis(1.0, 512)
+        traj = sample_trajectory(power_law_state(b, 10, 2.0), 1.0, 39)
+        tracemalloc.start()
+        try:
+            trajectory_to_csv(traj, tmp_path / "trajectory.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, peak

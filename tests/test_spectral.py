@@ -549,6 +549,31 @@ class TestCsvWriter:
         with pytest.raises(InvalidArgumentError):
             _write_csv(tmp_path / "w.csv", "a,b", [[1.0, 2.0], [1.0]])
 
+    @pytest.mark.parametrize("n", [5, _CSV_BLOCK_ROWS + 1])
+    def test_broadcast_2d_columns_match_flat_rows(self, tmp_path, n):
+        # trajectory_to_csv's form: t and k broadcast over (times, N), with rows
+        # of N values narrower and wider than a block
+        rng = np.random.default_rng(22)
+        times = np.array([f"{t:.17g}" for t in rng.uniform(0.0, 2.0, 3)])
+        t, k = np.broadcast_to(times[:, None], (3, n)), np.broadcast_to(np.arange(1, n + 1), (3, n))
+        z = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        columns = [t, k, z.real, z.imag]
+        path = tmp_path / "w.csv"
+        _write_csv(path, "t,k,re,im", columns)
+        want = _rows_one_fstring_at_a_time("t,k,re,im", [c.ravel() for c in columns])
+        assert_same_text(path.read_text(), want)
+
+    def test_list_of_numpy_scalars_prints_17g(self, tmp_path):
+        # zeta_to_csv's abs_zeta column is a list of np.float64, whose str is shorter
+        vals = [abs(z) for z in np.array([0.1 + 0j, 1.0 / 3.0 + 0j, 3.0 + 4.0j])]
+        path = tmp_path / "w.csv"
+        _write_csv(path, "k,x", [range(1, 4), vals])
+        assert path.read_text() == "k,x\n1,0.10000000000000001\n2,0.33333333333333331\n3,5\n"
+
+    def test_1d_and_2d_columns_of_equal_size_rejected(self, tmp_path):
+        with pytest.raises(InvalidArgumentError):
+            _write_csv(tmp_path / "w.csv", "a,b", [np.zeros(6), np.zeros((2, 3))])
+
     def test_zeta_abs_column_is_scalar_abs_per_factor(self, tmp_path):
         # numpy's vectorised abs differs from its scalar abs in the last bit
         # on about a third of random complex doubles; the column keeps the
