@@ -74,9 +74,12 @@ def _cexpm1(z: np.ndarray) -> np.ndarray:
 
     Splits into expm1(x)cos(y) - 2 sin^2(y/2) + i exp(x) sin(y); every term is
     individually small when |z| is, so the subtraction never loses digits.
+    cos(y) and -sin(y) come bitwise from one reduction, exp(-1j * y): -1j * y
+    is (+0, -y) for every y, -0.0 too (1j * y would turn -0.0 into +0.0).
     """
     x, y = np.real(z), np.imag(z)
-    return np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2 + 1j * np.exp(x) * np.sin(y)
+    cis = np.exp(-1j * y)
+    return np.expm1(x) * cis.real - 2.0 * np.sin(0.5 * y) ** 2 - 1j * np.exp(x) * cis.imag
 
 
 def _zeta_values(r: complex, T: float, lam) -> np.ndarray:

@@ -13,9 +13,10 @@ import numpy as np
 from .errors import InvalidArgumentError, NumericError, _count, _positive
 from .spectral import ModeCoefficients, SpectralBasis, _norm_weights, _weighted_norm, _write_csv, basis_to_json
 
-# beyond this phase magnitude, fold mod 2*pi before exponentiating: for speed
+# beyond this phase magnitude, fold mod 2*pi before cos and sin: for speed
 # (glibc reduces large arguments slowly), not accuracy: a direct exp is within
-# 1 ulp from 1e8 to 1e14, and the fold adds up to 3.9e-17 |phase|
+# 1 ulp from 1e8 to 1e14, and the fold adds up to 3.9e-17 |phase|.  A row
+# lambda * t is monotone (lambda nondecreasing), so only a run at each end folds
 _PHASE_REDUCE = 1.0e8
 
 # numpy elides a temporary of 256 KiB or more, 16384 complex values, into
@@ -108,6 +109,17 @@ def _require_finite(states: np.ndarray, times: np.ndarray) -> None:
         raise NumericError(f"trajectory overflows: the state at t = {t:.17g} is not finite")
 
 
+def _fold_ends(phase: np.ndarray, t: np.ndarray) -> None:
+    """Fold mod 2*pi, in place, the phases beyond +-_PHASE_REDUCE in each row
+    lambda * t_j of ``phase``: a run at each end, found by bisection."""
+    for p, tj in zip(phase, t.flat):
+        q = p if tj >= 0.0 else p[::-1]
+        lo = q.searchsorted(-_PHASE_REDUCE, "left")
+        hi = q.searchsorted(_PHASE_REDUCE, "right")
+        for run in (q[:lo], q[hi:]):
+            np.remainder(run, 2.0 * np.pi, out=run)
+
+
 def _evolve(values: np.ndarray, lam: np.ndarray, times: np.ndarray, index=None) -> np.ndarray:
     """Rows values * exp(-i lambda_k t_j), one per time, shape (len(times), N),
     filled a block of _row_blocks at a time, bitwise equal to a row loop, and
@@ -117,6 +129,8 @@ def _evolve(values: np.ndarray, lam: np.ndarray, times: np.ndarray, index=None) 
     their exps are computed once per distinct eigenvalue and gathered into
     each row.
 
+    exp(-i phase) is written as cos(phase) and -sin(phase), bitwise
+    np.exp(-1j * phase), as glibc's exp(0 + iy) is (cos y, sin y).
     Each block is written in place, with no complex temporary of its size.
     Its product is values * exp below N = _ELIDE_VALUES and exp * values from
     there on, as in a row loop where numpy elides exp from that size: complex
@@ -132,11 +146,12 @@ def _evolve(values: np.ndarray, lam: np.ndarray, times: np.ndarray, index=None) 
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
             phase = lam * t
             if lam_max * max(-float(t.flat[0]), float(t.flat[-1])) > _PHASE_REDUCE:
-                np.remainder(phase, 2.0 * np.pi, out=phase, where=np.abs(phase) > _PHASE_REDUCE)
+                _fold_ends(phase, t)
             row = out[k]
             e = row if index is None else np.empty(phase.shape, dtype=complex)
-            np.multiply(-1j, phase, out=e)
-            np.exp(e, out=e)
+            np.cos(phase, out=e.real)
+            np.sin(phase, out=e.imag)
+            np.conjugate(e, out=e)  # -sin: np.negative in place on the strided e.imag was slower
             if index is not None:
                 np.take(e, index, axis=-1, out=row)
             if n < _ELIDE_VALUES:

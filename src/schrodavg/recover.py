@@ -141,7 +141,7 @@ def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> Condit
     f = _factors(basis, params)
     denom_re = _abs_expm1(params.r.real * params.T)
     # |exp(rT) - 1| >= |exp(Re r T) - 1|, so it overflows whenever that does
-    denom_full = math.inf if denom_re == math.inf else _abs(_cexpm1(np.asarray(params.r * params.T)))
+    denom_full = math.inf if denom_re == math.inf else _abs(_cexpm1(np.complex128(params.r * params.T)))
     abs_r = _abs(params.r)
     try:  # Python's float power, not numpy's square: their last bits differ
         r2 = abs_r ** 2
@@ -154,8 +154,8 @@ def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> Condit
         # psi on about one mode in six
         sq = r2 + lam**2
         psi = np.sqrt(sq)
-        lost = ~np.isfinite(psi) | (sq < _TINY)
-        if lost.any():
+        if not (sq.min() >= _TINY and psi.max() < math.inf):
+            lost = ~np.isfinite(psi) | (sq < _TINY)
             psi[lost] = np.hypot(abs_r, lam[lost])
         psi = _quotient(psi, denom_full, params.T)
     return ConditioningReport(

@@ -235,8 +235,14 @@ def _weighted_norm(values: np.ndarray, w: np.ndarray | None, order: int) -> floa
     passes NaN on) raises NumericError."""
 
     def norm_of(c):
-        sq = c.real**2 + c.imag**2
-        return np.sqrt((sq if w is None else w * sq).sum(-1))
+        # one contiguous square: the operands and order of c.real**2 + c.imag**2;
+        # w * sq in place, as a third row-sized temporary made glibc hand back
+        # and refault the memory on every row (2.3x the order-1 sup norm, 1 CPU)
+        v = np.square(np.ascontiguousarray(c).view(float))
+        sq = v[..., 0::2] + v[..., 1::2]
+        if w is not None:
+            np.multiply(w, sq, out=sq)
+        return np.sqrt(sq.sum(-1))
 
     # a basis's weights are lam + c_A or lam^2 + c_A of nondecreasing lam: largest at an end
     lo = _SQRT_TINY if w is None else _SQRT_TINY * math.sqrt(max(1.0, w[0], w[-1]))

@@ -64,6 +64,12 @@ def runs_of_equal_eigenvalues(N):
     return lam
 
 
+def cexpm1_two_reductions(z):
+    """exp(z) - 1 as _cexpm1 took it, with np.cos(y) and np.sin(y) reduced apart."""
+    x, y = np.real(z), np.imag(z)
+    return np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2 + 1j * np.exp(x) * np.sin(y)
+
+
 def power_law_state(basis, seed, p):
     """|c_k| = k^-p with uniform random phases (1-based position index)."""
     rng = np.random.default_rng(seed)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     averaged_mode_by_quadrature,
+    cexpm1_two_reductions,
     power_law_state,
     runs_of_equal_eigenvalues,
     zeta_by_quadrature,
@@ -26,7 +27,7 @@ from schrodavg import (
     zeta_factor,
     zeta_factors,
 )
-from schrodavg.averaging import ZetaFactors, _factors, _zeta_values, zeta_to_csv
+from schrodavg.averaging import ZetaFactors, _cexpm1, _factors, _zeta_values, zeta_to_csv
 from schrodavg.evolve import _ELIDE_VALUES, _THREAD_MIN_VALUES
 
 
@@ -223,6 +224,35 @@ class TestFactorMemo:
 def bits(a):
     """The bit patterns of a complex array: -0.0 != 0.0, and NaN == NaN."""
     return a.view(np.int64)
+
+
+def signed_log_uniform(rng, lo, hi, n):
+    return 10.0 ** rng.uniform(lo, hi, n) * rng.choice([-1.0, 1.0], n)
+
+
+class TestCexpm1:
+    """_cexpm1 takes cos(y) and sin(y) from one exp(-1j * y); every bit, the
+    signs of zeros too, must match np.cos and np.sin taken apart."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-20, -0.5, 1.0, np.pi]
+
+    def test_arrays_match_two_reductions(self):
+        rng = np.random.default_rng(23)
+        n = 50_000
+        x = np.r_[signed_log_uniform(rng, -320.0, np.log10(700.0), n), np.repeat(self.SPECIAL, len(self.SPECIAL))]
+        y = np.r_[signed_log_uniform(rng, -320.0, 15.0, n), np.tile(self.SPECIAL, len(self.SPECIAL))]
+        z = np.empty(x.size, dtype=complex)
+        z.real, z.imag = x, y
+        assert np.array_equal(bits(_cexpm1(z)), bits(cexpm1_two_reductions(z)))
+
+    # conditioning_report passes one np.complex128 r T; it took a 0-d array
+    def test_scalar_matches_zero_d_two_reductions(self):
+        rng = np.random.default_rng(29)
+        r = signed_log_uniform(rng, -3.0, 2.0, 2000) + 1j * signed_log_uniform(rng, -3.0, 12.0, 2000)
+        T = 10.0 ** rng.uniform(-2.0, 1.0, 2000)
+        for rT in [complex(a) for a in r * T] + [complex(a, b) for a in self.SPECIAL for b in self.SPECIAL]:
+            got, want = _cexpm1(np.complex128(rT)), cexpm1_two_reductions(np.asarray(rT))
+            assert np.array_equal(bits(np.array([got])), bits(np.array([want]))), rT
 
 
 class TestDistinctFactors:

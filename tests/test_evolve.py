@@ -254,6 +254,95 @@ class TestThreadedRows:
         assert len(made) == (2 if cpus > 1 else 0)
 
 
+def bits(a):
+    """The bit patterns of a complex array: -0.0 != 0.0."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def signed_basis(N):
+    """N nondecreasing eigenvalues from -3e9 to 3e9 through a run -0.0, 0.0,
+    with -1e8 and 1e8 among them: at t = +-1 their phases sit on the fold
+    threshold, and the next doubles out are folded."""
+    half = (N - 6) // 2
+    lam = np.r_[-np.geomspace(3e9, 1.0, half), -0.0, 0.0,
+                np.geomspace(1.0, 3e9, N - 6 - half), -1e8, 1e8,
+                np.nextafter(-1e8, -np.inf), np.nextafter(1e8, np.inf)]
+    return make_custom_basis(np.sort(lam, kind="stable"))
+
+
+class TestSliceFold:
+    """A row's phases lambda_k t are monotone, so the kernel folds only the
+    runs beyond +-1e8 at its ends, and writes exp(-i phase) as cos and -sin;
+    every bit, the signs of zeros too, must match the row loop that folds
+    through a mask and takes np.exp(-1j * phase)."""
+
+    # one phase per log-uniform magnitude from 1e-300 to 1e15, both signs, and
+    # +-0.0, 5e-324: the host's numpy must take float64 cos and sin where glibc's
+    # cexp takes them, or the kernel's bits (and every digest) move
+    def test_cos_minus_i_sin_is_complex_exp_on_this_host(self):
+        rng = np.random.default_rng(17)
+        mag = 10.0 ** rng.uniform(-300.0, 15.0, 100_000)
+        phi = np.r_[mag, -mag, 0.0, -0.0, 5e-324, -5e-324, 1e8, -1e8, 2.0 * np.pi]
+        e = np.empty(phi.size, dtype=complex)
+        np.cos(phi, out=e.real)
+        np.sin(phi, out=e.imag)
+        np.conjugate(e, out=e)
+        assert np.array_equal(bits(e), bits(np.exp(-1j * phi)))
+
+    # N = 64 fills one block of all 13 rows, N = 16384 one row per block
+    @pytest.mark.parametrize("N", [64, 16384])
+    def test_runs_past_the_threshold_match_row_loop(self, N):
+        rng = np.random.default_rng(N + 1)
+        b = signed_basis(N)
+        values = rng.normal(size=N) + 1j * rng.normal(size=N)
+        # negative times give descending rows; +-0.0 and +-1 put phases on +-1e8
+        times = np.r_[np.sort(rng.uniform(-40.0, 40.0, 9)), -1.0, -0.0, 0.0, 1.0]
+        times.sort(kind="stable")
+        got = _evolve(values, b.lambdas, times)
+        assert np.array_equal(bits(got), bits(row_loop(values, b.lambdas, times)))
+
+    # Dirichlet N = 64 crosses 1e8 inside each row from |t| = 2474 on; the
+    # runs of equal eigenvalues lead with -0.0, 0.0
+    @pytest.mark.parametrize("basis", [
+        lambda: make_dirichlet_basis(1.0, 64),
+        lambda: make_periodic_basis(1.0, 64),
+        lambda: make_custom_basis(runs_of_equal_eigenvalues(64) * 1.0e4),
+    ])
+    def test_straddling_rows_match_row_loop(self, basis):
+        b = basis()
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=64) + 1j * rng.normal(size=64)
+        times = np.sort(rng.uniform(-6000.0, 6000.0, 40))
+        lam, index = b._distinct
+        got = _evolve(values, lam, times, index)
+        assert np.array_equal(bits(got), bits(row_loop(values, b.lambdas, times)))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_threads_match_row_loop(self, cpus, executors):
+        made = executors(cpus)
+        N = _THREAD_MIN_VALUES
+        b = signed_basis(N)
+        values = np.exp(2j * np.pi * np.random.default_rng(cpus).random(N))
+        times = np.array([-2.5, -1.0, -0.0, 0.0, 1.0, 3.0])
+        got = _evolve(values, b.lambdas, times)
+        assert np.array_equal(bits(got), bits(row_loop(values, b.lambdas, times)))
+        assert len(made) == (0 if cpus == 1 else 1)
+
+    # one block of 3 rows, one row per block, then rows on threads
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("N, cpus", [(4, 1), (16384, 1), (_THREAD_MIN_VALUES, 1), (_THREAD_MIN_VALUES, 2)])
+    def test_overflowing_phase_on_a_descending_row_named(self, N, cpus, executors):
+        # lambda t = -1e310 overflows at the start of the row of t = -1e10
+        made = executors(cpus)
+        b = make_custom_basis(np.r_[np.ones(N - 1), 1e300])
+        xi = ModeCoefficients(np.ones(N), b)
+        with pytest.raises(NumericError, match="t = -10000000000 is not finite"):
+            _evolve(xi.values, b.lambdas, np.array([-1e10, 0.0, 1.0]))
+        with pytest.raises(NumericError, match="t = -10000000000 is not finite"):
+            propagate(xi, -1e10)
+        assert len(made) == (1 if cpus > 1 else 0)
+
+
 class TestDistinctRows:
     """On a basis with equal eigenvalues, a fill takes its phases and exps
     once per distinct eigenvalue and gathers them; every bit, the signs of

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import power_law_state
+from conftest import cexpm1_two_reductions, power_law_state
 from schrodavg import (
     AveragingParams,
     DegenerateModeError,
@@ -302,6 +302,24 @@ class TestConditioningReport:
         assert rep.psi[0] == rep.inv_zeta_bound[0] == 1.0
         denom = abs(complex(_cexpm1(np.asarray(complex(r)))))
         assert np.array_equal(rep.psi[1:], np.sqrt(r**2 + b.lambdas[1:] ** 2) / denom)
+
+    # psi as it was taken: the hypot mask built on every call, and |exp(rT) - 1|
+    # from 0-d arrays with cos and sin reduced apart
+    def test_psi_bits_as_masked_form_with_zero_d_denominator(self):
+        rng = np.random.default_rng(31)
+        b = make_periodic_basis(1.0, 16)
+        lam = b.lambdas
+        draws = [(complex(rng.uniform(-2.0, 2.0), rng.uniform(-60.0, 60.0)), rng.uniform(0.1, 3.0))
+                 for _ in range(300)]
+        for r, T in draws + [(1e-170, 1.0), (1e-300 + 2e-300j, 0.5), (1e150 + 1e150j, 1e-150), (0.5 - 0.0j, 1.5)]:
+            rep = conditioning_report(b, AveragingParams(r, T))
+            abs_r = abs(r)
+            sq = abs_r**2 + lam**2
+            psi = np.sqrt(sq)
+            lost = ~np.isfinite(psi) | (sq < np.finfo(float).tiny)
+            psi[lost] = np.hypot(abs_r, lam[lost])
+            want = psi / abs(complex(cexpm1_two_reductions(np.asarray(r * T))))
+            assert np.array_equal(rep.psi, want), (r, T)
 
 
 class TestStabilityBound:

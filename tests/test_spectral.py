@@ -14,6 +14,7 @@ from schrodavg import (
     InvalidArgumentError,
     ModeCoefficients,
     NumericError,
+    Trajectory,
     load_coefficients,
     make_custom_basis,
     make_dirichlet_basis,
@@ -28,7 +29,14 @@ from schrodavg import (
     unit_floor_shift,
 )
 from schrodavg.averaging import ZetaFactors, zeta_to_csv
-from schrodavg.spectral import _CSV_BLOCK_ROWS, _mode_matrix, _norm_weights, _weighted_norm, _write_csv
+from schrodavg.spectral import (
+    _CSV_BLOCK_ROWS,
+    _SQRT_TINY,
+    _mode_matrix,
+    _norm_weights,
+    _weighted_norm,
+    _write_csv,
+)
 
 
 class TestBasisConstruction:
@@ -250,6 +258,65 @@ class TestNorms:
         with pytest.raises(NumericError, match="order-0"):
             _weighted_norm(values, None, 0)
         assert _weighted_norm(np.delete(values, row, axis=0), None, 0) == (1e200 if row < 2 else 5.0)
+
+
+def norm_two_squares(values, w):
+    """The largest row norm as _weighted_norm took it, with |c|^2 taken as
+    c.real**2 + c.imag**2: each row's plain norm where it lies in [lo, inf),
+    its rescaled norm elsewhere."""
+
+    def norm_of(c):
+        sq = c.real**2 + c.imag**2
+        return np.sqrt((sq if w is None else w * sq).sum(-1))
+
+    lo = _SQRT_TINY if w is None else _SQRT_TINY * math.sqrt(max(1.0, w.max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = norm_of(values)
+        m = np.abs(values).max(axis=-1, keepdims=True)
+        scaled = m[..., 0] * norm_of(np.divide(values, m, out=np.zeros_like(values), where=m > 0))
+    return float(np.where((lo <= norm) & (norm < np.inf), norm, scaled).max())
+
+
+class TestOneSquarePass:
+    """_weighted_norm squares the interleaved parts in one contiguous pass and
+    adds the halves; every norm must keep the bits of c.real**2 + c.imag**2."""
+
+    N = 37
+
+    def rows(self, rng, kind):
+        v = rng.normal(size=(6, self.N)) + 1j * rng.normal(size=(6, self.N))
+        if kind == "subnormal":
+            v *= 10.0 ** rng.uniform(-323.0, -300.0, v.shape)
+        elif kind == "huge":
+            v *= 10.0 ** rng.uniform(150.0, 280.0, v.shape)
+        elif kind == "mixed":
+            v *= 10.0 ** rng.uniform(-320.0, 280.0, v.shape)
+        v[1] = 0.0  # a zero row
+        v[2, ::3] = 0.0
+        v[3, ::2] = complex(5e-324, -0.0)
+        return v
+
+    @pytest.mark.parametrize("kind", ["normal", "subnormal", "huge", "mixed"])
+    @pytest.mark.parametrize("lambdas", [None, "dirichlet", "wide"])
+    def test_rows_match_two_squares(self, kind, lambdas):
+        rng = np.random.default_rng(len(kind) + 7)
+        if lambdas is None:
+            w = None
+        elif lambdas == "dirichlet":
+            w = _norm_weights(make_dirichlet_basis(1.0, self.N), 1)
+        else:
+            w = _norm_weights(make_custom_basis(np.geomspace(1e-3, 1e20, self.N), 1.0, 0.0), 1)
+        v = self.rows(rng, kind)
+        for block in [v] + list(v):  # a block takes one route; a single row its own
+            assert _weighted_norm(block, w, 1) == norm_two_squares(block, w), kind
+
+    def test_strided_rows_as_contiguous(self):
+        b = make_dirichlet_basis(1.0, 8)
+        rng = np.random.default_rng(3)
+        states = np.asfortranarray(rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8)))
+        for order in (0, 1):
+            got = trajectory_sup_norm(Trajectory(np.arange(5.0), states, b), order)
+            assert got == trajectory_sup_norm(Trajectory(np.arange(5.0), np.ascontiguousarray(states), b), order)
 
 
 def _product_form_norm(v):
