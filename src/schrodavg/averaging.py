@@ -12,12 +12,11 @@ with the removable singularity at r = i lambda_k taking the value T.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, _positive, _vector
+from .errors import InvalidArgumentError, _complex, _positive, _vector
 from .evolve import _map_blocks, _row_blocks
 from .spectral import ModeCoefficients, SpectralBasis, _norm_weights, _write_csv
 
@@ -38,10 +37,7 @@ class AveragingParams:
     T: float
 
     def __post_init__(self):
-        r = complex(self.r)
-        if not cmath.isfinite(r):
-            raise InvalidArgumentError("r must be finite")
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r", _complex(self.r, "r"))
         object.__setattr__(self, "T", _positive(self.T, "T"))
         object.__setattr__(self, "_memo", None)  # the ZetaFactors of _factors
 

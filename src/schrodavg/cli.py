@@ -13,7 +13,9 @@ Exit codes: 0 success, 1 configuration error, 2 ill-posed parameters,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -29,6 +31,7 @@ from .averaging import (
     zeta_to_csv,
 )
 from .errors import DegenerateModeError, IllPosedError, InvalidArgumentError, NumericError, SchrodavgError
+from .errors import _complex, _count, _positive, _vector
 from .evolve import sample_trajectory, trajectory_sup_norm, trajectory_to_csv
 from .fd_oracle import FdConfig, oracle_mu_coeffs
 from .recover import conditioning_report, recover_initial, report_summary, report_to_csv, stability_bound
@@ -37,7 +40,6 @@ from .spectral import (
     DIRICHLET,
     ModeCoefficients,
     _complex_pairs,
-    _integer,
     _write_csv,
     basis_from_json,
     save_coefficients,
@@ -45,96 +47,102 @@ from .spectral import (
 )
 
 
-def _section(x, name: str = "basis") -> dict:
+def _section(x, name: str) -> dict:
     """A config object; null or an empty value counts as absent ({})."""
     if not isinstance(x or {}, dict):
-        raise TypeError(f"{name} must be a JSON object")
+        raise InvalidArgumentError(f"{name} must be a JSON object, got {x!r}")
     return x or {}
 
 
-def _complex_pair(x) -> complex:
-    re, im = x
-    return complex(float(re), float(im))
+def _path(x, name: str) -> Path:
+    if not isinstance(x, (str, os.PathLike)):
+        raise InvalidArgumentError(f"{name} must be a path, got {x!r}")
+    return Path(x)
 
 
-def _setting(default, path: str, cast, *flags: str):
+def _setting(default, path: str, rule, *flags: str, decode=None, **bounds):
     """One row of the config table: the field's default, its dotted path in
-    the JSON config, the cast of the JSON value, and the flags that override it."""
-    return field(default=default, metadata={"path": path, "cast": cast, "flags": flags})
+    the JSON config, the rule (from errors, called with ``bounds`` and the
+    path as the name) that checks and converts its value, the flags that
+    override it, and the decoder of a value JSON writes as [re, im] pairs."""
+    return field(default=default, metadata={
+        "path": path, "rule": functools.partial(rule, **bounds), "flags": flags, "decode": decode})
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Every setting of a run; each field is one row of the config table that
-    load_config and build_parser read.  Fields with flags come first, in the
-    flags' order; --r-re and --r-im set the real and imaginary part of r."""
+    load_config and build_parser read, and whose rule every value passes
+    through here, a hand-built config's too.  A field whose default is None
+    may stay None.  Fields with flags come first, in the flags' order;
+    --r-re and --r-im set the real and imaginary part of r."""
 
-    out: Path = _setting(Path("out"), "out", Path, "--out")
-    r: complex = _setting(complex(1.0, 0.0), "r", _complex_pair, "--r-re", "--r-im")
-    T: float = _setting(1.0, "T", float, "--T")
+    out: Path = _setting(Path("out"), "out", _path, "--out")
+    r: complex = _setting(complex(1.0, 0.0), "r", _complex, "--r-re", "--r-im", decode=_complex_pairs)
+    T: float = _setting(1.0, "T", _positive, "--T")
     # None: 64 modes, or one per eigenvalue of a custom basis
-    N: int | None = _setting(None, "basis.N", _integer, "--N")
-    seed: int = _setting(1234, "seed", _integer, "--seed")
-    noise: float = _setting(0.0, "noise", float, "--noise")
+    N: int | None = _setting(None, "basis.N", _count, "--N", least=1)
+    # numpy's generators take no negative seed
+    seed: int = _setting(1234, "seed", _count, "--seed", least=0)
+    noise: float = _setting(0.0, "noise", _positive, "--noise", least=0.0, strict=False)
     # the object that basis_from_json decodes, whose kind and L default to a
     # Dirichlet basis on [0, 1]; None: {}
     basis: dict | None = _setting(None, "basis", _section)
-    # None: 2 for state draws, 3 for data draws
-    decay: float | None = _setting(None, "decay", float)
-    coeffs: np.ndarray | None = _setting(None, "coeffs", _complex_pairs)
-    oracle_M: int = _setting(256, "oracle.M", _integer)
-    oracle_dt: float = _setting(1.0e-3, "oracle.dt", float)
-    oracle_modes: int = _setting(2, "oracle.modes", _integer)
-    trajectory_steps: int = _setting(32, "trajectory_steps", _integer)
-    sweep_re: tuple = _setting((0.05, 0.1, 0.2, 0.5, 1.0), "sweep_r_re",
-                               lambda x: tuple(float(v) for v in x))
+    # None: 2 for state draws, 3 for data draws; finite order-1 norms at every
+    # truncation level need decay > 1
+    decay: float | None = _setting(None, "decay", _positive, least=1.0)
+    coeffs: np.ndarray | None = _setting(None, "coeffs", _vector, decode=_complex_pairs, dtype=complex)
+    oracle_M: int = _setting(256, "oracle.M", _count, least=3)
+    oracle_dt: float = _setting(1.0e-3, "oracle.dt", _positive)
+    oracle_modes: int = _setting(2, "oracle.modes", _count, least=1)
+    trajectory_steps: int = _setting(32, "trajectory_steps", _count, least=1)
+    sweep_re: np.ndarray = _setting((0.05, 0.1, 0.2, 0.5, 1.0), "sweep_r_re", _vector, dtype=float, least=0)
+
+    def __post_init__(self):  # the one check of every setting
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                object.__setattr__(self, f.name, f.metadata["rule"](value, name=f.metadata["path"]))
 
 
-# argparse type of a flag whose field has this cast; any other cast is its own
-_FLAG_TYPES = {_integer: int, _complex_pair: float}
+def _number(text: str):
+    """A numeric flag's value: an integer exactly (a --seed above 2^53 too),
+    else a float, else the text, which the row's rule refuses by name."""
+    for read in (int, float):
+        try:
+            return read(text)
+        except ValueError:
+            pass
+    return text
 
 
 def load_config(path=None, args=None) -> ExperimentConfig:
     """The JSON config at ``path`` (if any) with the flags that ``args`` (from
-    build_parser) gives on top, each read through its ExperimentConfig row."""
+    build_parser) gives on top, gathered along the ExperimentConfig rows,
+    whose rules then check them."""
     obj = {}
     if path is not None:
         try:
-            obj = json.loads(Path(path).read_text())
+            obj = _section(json.loads(Path(path).read_text()), "config")
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidArgumentError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise InvalidArgumentError("config must be a JSON object")
-    cfg = ExperimentConfig()
-    for f in fields(cfg):
+    values = {}
+    for f in fields(ExperimentConfig):
         *parents, key = f.metadata["path"].split(".")
-        try:
-            section = obj
-            for name in parents:
-                section = _section(section.get(name), name)
-            if key in section:
-                setattr(cfg, f.name, f.metadata["cast"](section[key]))
-        except (TypeError, ValueError, ArithmeticError) as exc:
-            raise InvalidArgumentError(f"malformed config: {exc}") from exc
+        section = obj
+        for name in parents:
+            section = _section(section.get(name), name)
+        if key in section:
+            decode = f.metadata["decode"]
+            values[f.name] = decode(section[key], f.metadata["path"]) if decode else section[key]
         for i, flag in enumerate(f.metadata["flags"]):
             given = getattr(args, flag[2:].replace("-", "_"), None)
-            if given is not None and f.name == "r":
-                given = complex(given, cfg.r.imag) if i == 0 else complex(cfg.r.real, given)
+            if given is not None and f.name == "r":  # one part; the other from the file or the default
+                r = values.get("r", f.default)
+                given = _complex_pairs([given, r.imag] if i == 0 else [r.real, given], "r")
             if given is not None:
-                setattr(cfg, f.name, given)
-    return cfg
-
-
-def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.seed < 0:  # numpy's generators take no negative seed
-        raise InvalidArgumentError(f"seed must be >= 0, got {cfg.seed}")
-    if cfg.noise < 0:
-        raise InvalidArgumentError(f"noise must be >= 0, got {cfg.noise}")
-    if cfg.decay is not None and cfg.decay <= 1:
-        # finite order-1 norms at every truncation level need p > 1
-        raise InvalidArgumentError(f"decay exponent must exceed 1, got {cfg.decay}")
-    if cfg.trajectory_steps < 1:
-        raise InvalidArgumentError("trajectory_steps must be >= 1")
+                values[f.name] = given
+    return ExperimentConfig(**values)
 
 
 def seeded_coefficients(basis, seed: int, decay: float) -> ModeCoefficients:
@@ -176,28 +184,24 @@ def run(cfg: ExperimentConfig, command: str) -> dict:
     report written as report.json, its path then appended to its outputs."""
     if command not in COMMANDS:
         raise InvalidArgumentError(f"unknown command {command!r}")
-    _validate(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg.out.mkdir(parents=True, exist_ok=True)
     handler, decay, files = _HANDLERS[command]
     report = {"command": command, "well_posed": None, "norms": {}, "errors": {},
-              "conditioning": None, "timings": {}, "outputs": [str(out / f) for f in files]}
+              "conditioning": None, "timings": {}, "outputs": [str(cfg.out / f) for f in files]}
     t0 = time.perf_counter()
 
     obj = {"kind": DIRICHLET, "L": 1.0, **(cfg.basis or {})}
     N = 64 if cfg.N is None and obj["kind"] != CUSTOM else cfg.N  # custom: one per eigenvalue
-    if command == "oracle-check":  # the grid compares the lowest modes only
-        if obj["kind"] != DIRICHLET:
-            raise InvalidArgumentError("oracle-check supports Dirichlet bases only")
-        N = min(cfg.oracle_modes, N)
+    if command == "oracle-check" and obj["kind"] == DIRICHLET:  # oracle_mu_coeffs refuses other kinds
+        N = min(cfg.oracle_modes, N)  # the grid compares the lowest modes only
     basis = basis_from_json({**obj, "N": N})
     # forward does not average, and sweep averages at one Re r per point
     params = None if command in ("forward", "sweep") else AveragingParams(cfg.r, cfg.T)
     state = None if decay is None else _initial_state(cfg, basis, decay)
-    handler(cfg, out, report, basis, params, state)
+    handler(cfg, cfg.out, report, basis, params, state)
 
     report["timings"]["total_s"] = time.perf_counter() - t0
-    report_path = out / "report.json"
+    report_path = cfg.out / "report.json"
     report_path.write_text(json.dumps(report, indent=2) + "\n")
     report["outputs"].append(str(report_path))
     return report
@@ -288,7 +292,7 @@ def _run_sweep(cfg, out, report, basis, _, mu):
     delta = _perturbed(mu, cfg.noise, cfg.seed + 1).values - mu.values
     noise_h2 = sobolev_norm(ModeCoefficients(delta, basis), 2)
     mu_used = ModeCoefficients(mu.values + delta, basis)
-    r_re = sorted(float(x) for x in cfg.sweep_re)
+    r_re = sorted(cfg.sweep_re.tolist())
     min_abs, errs_h, errs_h1, amps, bounds = [], [], [], [], []
     for re in r_re:
         params = AveragingParams(complex(re, cfg.r.imag), cfg.T)
@@ -341,9 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
         for f in fields(ExperimentConfig):
-            for flag in f.metadata["flags"]:
-                cast = f.metadata["cast"]
-                p.add_argument(flag, type=_FLAG_TYPES.get(cast, cast),
+            for flag in f.metadata["flags"]:  # every flag but --out is a number
+                p.add_argument(flag, type=None if flag == "--out" else _number,
                                help=f"overrides {f.metadata['path']} of the config")
     return parser
 

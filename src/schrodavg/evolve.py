@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericError, _count, _positive
+from .errors import InvalidArgumentError, NumericError, _array, _count, _positive, _vector
 from .spectral import ModeCoefficients, SpectralBasis, _norm_weights, _weighted_norm, _write_csv, basis_to_json
 
 # beyond this phase magnitude, fold mod 2*pi before cos and sin: for speed
@@ -35,13 +35,7 @@ _MAX_THREADS = 4
 
 def _check_times(times) -> np.ndarray:
     """Read-only float copy of nonempty, finite, ascending sample times."""
-    t = np.array(times, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise InvalidArgumentError("times must be a nonempty 1-d vector")
-    if not np.isfinite(t).all() or (t[1:] < t[:-1]).any():
-        raise InvalidArgumentError("times must be finite and ascending")
-    t.setflags(write=False)
-    return t
+    return _vector(times, float, "times", ascending=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,11 +53,9 @@ class Trajectory:
     def __post_init__(self):
         t = _check_times(self.times)
         # a read-only view, not a copy, which would double the peak memory
-        v = np.asarray(self.states, dtype=complex).view()
-        if v.shape != (t.size, self.basis.mode_count):
-            raise InvalidArgumentError(f"states must have shape (len(times), N), got {v.shape}")
-        if not np.isfinite(v).all():
-            raise InvalidArgumentError("states must be finite")
+        v = _array(self.states, complex, "states", copy=False).view()
+        if v.shape != (t.size, self.basis.mode_count) or not np.isfinite(v).all():
+            raise InvalidArgumentError(f"states must be finite, of shape (len(times), N), got shape {v.shape}")
         v.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", v)
@@ -185,9 +177,7 @@ def _trusted_trajectory(times: np.ndarray, states: np.ndarray, basis: SpectralBa
 
 def propagate(xi: ModeCoefficients, t: float) -> ModeCoefficients:
     """Multiply mode k by exp(-i lambda_k t); modulus is preserved per mode."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise InvalidArgumentError("time must be finite")
+    t = _positive(t, "time", -math.inf)  # any finite time
     lam, index = xi.basis._distinct
     return ModeCoefficients(_evolve(xi.values, lam, np.array([t]), index)[0], xi.basis)
 

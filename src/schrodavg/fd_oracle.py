@@ -95,13 +95,16 @@ def _cn_stepper(cfg: FdConfig):
     return step
 
 
+def _interior(state: GridState, cfg: FdConfig) -> np.ndarray:
+    """The values of ``state``, which must hold one per interior point of cfg."""
+    if state.values.size != cfg.interior_points:
+        raise InvalidArgumentError(f"state length {state.values.size} != M = {cfg.interior_points}")
+    return state.values
+
+
 def cn_step(state: GridState, cfg: FdConfig) -> GridState:
     """One implicit-midpoint step of du/dt = i A_h u; unitary in discrete l2."""
-    if state.values.size != cfg.interior_points:
-        raise InvalidArgumentError(
-            f"state length {state.values.size} != interior points {cfg.interior_points}"
-        )
-    return GridState(_cn_stepper(cfg)(state.values))
+    return GridState(_cn_stepper(cfg)(_interior(state, cfg)))
 
 
 # the most steps a run may take, refused before its Simpson weights are allocated
@@ -121,19 +124,13 @@ def _step_count(T: float, dt: float) -> int:
 
 def oracle_time_average(xi_grid: GridState, params: AveragingParams, cfg: FdConfig) -> GridState:
     """Simpson accumulation of exp(r t_n) u(t_n) while stepping 0 -> T."""
-    if xi_grid.values.size != cfg.interior_points:
-        raise InvalidArgumentError(
-            f"state length {xi_grid.values.size} != interior points {cfg.interior_points}"
-        )
-    if cfg.dt > params.T:
-        raise InvalidArgumentError(f"dt = {cfg.dt} exceeds horizon T = {params.T}")
+    u = _interior(xi_grid, cfg)
     steps = _step_count(params.T, cfg.dt)
     w = np.ones(steps + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     w *= cfg.dt / 3.0
     step = _cn_stepper(cfg)
-    u = xi_grid.values
     acc = w[0] * u.astype(complex)
     for n in range(1, steps + 1):
         u = step(u)

@@ -20,7 +20,7 @@ import numpy as np
 from .averaging import AveragingParams, _cexpm1, _factors
 from .errors import DegenerateModeError, IllPosedError
 from .evolve import Trajectory, _check_times, _require_finite, _trajectory, _trusted_trajectory
-from .spectral import ModeCoefficients, SpectralBasis, _write_csv, make_custom_basis, unit_floor_shift
+from .spectral import ModeCoefficients, SpectralBasis, _floor_shift, _write_csv, make_custom_basis
 
 _TINY = np.finfo(float).tiny  # the smallest normal double
 _LOG_MAX = math.log(np.finfo(float).max)  # exp(x) overflows exactly where x > _LOG_MAX
@@ -69,7 +69,7 @@ def recover_via_shift(
     mapping u(t) = exp(i q t) u_bar(t) reproduces the original problem, so
     u(0) = u_bar(0).
     """
-    q = unit_floor_shift(mu.basis.lambdas)
+    q = _floor_shift(mu.basis.lambdas[0])
     shifted_basis = make_custom_basis(mu.basis.lambdas + q, mu.basis.domain_length, 0.0)
     xi_bar = recover_initial(
         ModeCoefficients(mu.values, shifted_basis),
@@ -168,7 +168,7 @@ def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> Condit
         min_abs_zeta=f.min_abs,
         well_posed=params.r.real != 0.0,
         stability_bound=stability_bound(params) if params.r.real != 0.0 else math.inf,
-        q=unit_floor_shift(lam),
+        q=_floor_shift(lam[0]),
     )
 
 

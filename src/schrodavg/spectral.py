@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericError, _count, _positive, _vector
+from .errors import InvalidArgumentError, NumericError, _array, _count, _positive, _vector
 
 DIRICHLET = "dirichlet_interval"
 PERIODIC = "periodic_interval"
@@ -41,7 +41,12 @@ def unit_floor_shift(lambdas) -> float:
     Used both as the default norm shift c_A and as the spectral translation
     that normalizes eigenvalues before inversion.
     """
-    lam_min = float(np.min(lambdas))
+    return _floor_shift(_vector(lambdas, float, "lambdas").min())
+
+
+def _floor_shift(lam_min) -> float:
+    """unit_floor_shift of eigenvalues whose least is lam_min, a basis's lambdas[0]."""
+    lam_min = float(lam_min)
     q = max(0.0, 1.0 - lam_min)
     while lam_min + q < 1.0:
         q = math.nextafter(q, math.inf)
@@ -96,23 +101,16 @@ class SpectralBasis:
         if self.kind not in _KINDS:
             raise InvalidArgumentError(f"unknown basis kind {self.kind!r}")
         L = _positive(self.domain_length, "domain_length")
-        lam = _vector(self.lambdas, float, "lambdas")
-        if np.any(np.diff(lam) < 0):
-            raise InvalidArgumentError("lambdas must be nondecreasing")
-        cA = unit_floor_shift(lam) if self.c_A is None else float(self.c_A)
-        if self.c_A is None and cA == math.inf:
+        lam = _vector(self.lambdas, float, "lambdas", ascending=True)
+        cA = _floor_shift(lam[0]) if self.c_A is None else _positive(self.c_A, "c_A", 0.0, strict=False)
+        if cA == math.inf:  # only the default shift overflows
             raise InvalidArgumentError(f"min(lambda) = {lam[0]} leaves no finite default c_A")
-        if not 0.0 <= cA < math.inf:
-            raise InvalidArgumentError("c_A must be nonnegative and finite")
         if lam[0] + cA <= 0:
             raise InvalidArgumentError(
                 f"c_A={cA} leaves min(lambda)+c_A = {lam[0] + cA} <= 0; "
                 "order-1 norm weights must be positive"
             )
-        labels = np.array(self.labels, dtype=int)
-        if labels.shape != lam.shape:
-            raise InvalidArgumentError("labels must match lambdas in shape")
-        labels.setflags(write=False)
+        labels = _vector(self.labels, int, "labels", lam.size)
         object.__setattr__(self, "domain_length", L)
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "c_A", cA)
@@ -337,17 +335,13 @@ def project_from_grid(samples, basis: SpectralBasis, grid: SpatialGrid) -> ModeC
 # Eigenfunction callables do not round-trip through JSON.
 
 
-def _integer(x) -> int:
-    """int(x), refusing a non-integral float instead of truncating it."""
-    n = int(x)
-    if isinstance(x, float) and n != x:
-        raise ValueError(f"expected an integer, got {x!r}")
-    return n
-
-
-def _complex_pairs(pairs) -> np.ndarray:
-    """Complex vector from [[re, im], ...]."""
-    return np.array([complex(re, im) for re, im in pairs])
+def _complex_pairs(pairs, name: str):
+    """The complex number of [re, im], or the complex vector of [[re, im], ...],
+    each part a real number."""
+    v = _array(pairs, float, name)
+    if v.ndim not in (1, 2) or v.shape[-1] != 2:
+        raise InvalidArgumentError(f"{name} must be [re, im] or a list of such pairs, got shape {v.shape}")
+    return v.view(complex)[..., 0][()]
 
 
 def basis_to_json(basis: SpectralBasis, **fields) -> dict:
@@ -361,28 +355,20 @@ def basis_to_json(basis: SpectralBasis, **fields) -> dict:
 
 def basis_from_json(obj: dict) -> SpectralBasis:
     """The basis that basis_to_json encodes.  A null "cA" takes the default
-    shift; a custom basis may omit "N", and otherwise N must be len(lambdas)."""
-    try:
-        kind = obj["kind"]
-        L = float(obj["L"])
-        cA = float(obj["cA"]) if obj.get("cA") is not None else None
-        if kind != CUSTOM:
-            N, lam = _integer(obj["N"]), None
-        else:
-            N = None if obj.get("N") is None else _integer(obj["N"])
-            lam = None if obj.get("lambdas") is None else [float(x) for x in obj["lambdas"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InvalidArgumentError(f"malformed basis object: {exc}") from exc
+    shift; a custom basis may omit "N", and otherwise N must be len(lambdas).
+    The basis's constructor checks each value."""
+    if not isinstance(obj, dict):
+        raise InvalidArgumentError(f"a basis must be a JSON object, got {obj!r}")
+    kind, L, N, cA = obj.get("kind"), obj.get("L"), obj.get("N"), obj.get("cA")
     if kind == DIRICHLET:
         return make_dirichlet_basis(L, N, cA)
     if kind == PERIODIC:
         return make_periodic_basis(L, N, cA)
     if kind == CUSTOM:
-        if lam is None:
-            raise InvalidArgumentError("custom basis requires 'lambdas'")
-        if N is not None and len(lam) != N:
-            raise InvalidArgumentError(f"lambdas length {len(lam)} != N = {N}")
-        return make_custom_basis(lam, L, cA)
+        basis = make_custom_basis(obj.get("lambdas"), L, cA)
+        if N is not None and _count(N, "N", 1) != basis.mode_count:
+            raise InvalidArgumentError(f"lambdas length {basis.mode_count} != N = {N}")
+        return basis
     raise InvalidArgumentError(f"unknown basis kind {kind!r}")
 
 
@@ -396,14 +382,8 @@ def load_coefficients(path) -> ModeCoefficients:
         obj = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise InvalidArgumentError(f"cannot read coefficients {path}: {exc}") from exc
-    basis = basis_from_json(obj)
-    if obj.get("coeffs") is None:
-        raise InvalidArgumentError("missing 'coeffs'")
-    try:
-        vals = _complex_pairs(obj["coeffs"])
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"malformed 'coeffs': {exc}") from exc
-    return ModeCoefficients(vals, basis)
+    basis = basis_from_json(obj)  # first: it refuses an obj that is not a JSON object
+    return ModeCoefficients(_complex_pairs(obj.get("coeffs"), "coeffs"), basis)
 
 
 # --- CSV: a header line, then one row per index of equal-length columns -----

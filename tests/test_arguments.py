@@ -1,7 +1,7 @@
-"""The three argument rules: every count, positive scalar and coefficient
-vector that an entry point takes is refused with InvalidArgumentError naming
-the argument, never with a builtin OverflowError or ValueError, and never
-after a warning."""
+"""The argument rules: every count, real or complex scalar and vector that an
+entry point takes is refused with InvalidArgumentError naming the argument,
+never with a builtin OverflowError, TypeError or ValueError, and never after a
+warning."""
 
 import re
 
@@ -15,14 +15,19 @@ from schrodavg import (
     InvalidArgumentError,
     ModeCoefficients,
     SpatialGrid,
+    Trajectory,
+    apply_time_average,
+    cn_step,
     make_custom_basis,
     make_dirichlet_basis,
     make_periodic_basis,
     oracle_time_average,
     project_from_grid,
     propagate,
+    reconstruct_solution,
     sample_trajectory,
     uniform_grid,
+    unit_floor_shift,
     zeta_factor,
 )
 from schrodavg.fd_oracle import _MAX_STEPS, _step_count
@@ -135,3 +140,78 @@ def test_step_budget_is_inclusive():
 def test_grid_samples_refused(bad):
     basis, grid = make_dirichlet_basis(1.0, 4), uniform_grid(1.0, 33)
     refused(lambda v: project_from_grid(v, basis, grid), bad, "samples")
+
+
+# the scalars that an entry point reads as a number, by the argument's name: a
+# call that passes x as that argument, all else valid, and whether it is real
+# (then 1j is refused too)
+SCALARS = {
+    "r": (lambda x: AveragingParams(x, 1.0), False),
+    "time": (lambda x: propagate(XI, x), True),
+    # None asks for the default shift (test_default_shift_is_asked_by_none)
+    "c_A": (lambda x: make_custom_basis([1.0, 2.0], 1.0, x), True),
+}
+PARAMS = AveragingParams(1.0, 1.0)
+# vectors that no owner keeps as given: a call that passes v as that vector;
+# [1] is a valid value of each, a vector of one value
+LOOSE_VECTORS = {
+    "lambdas": unit_floor_shift,
+    "times": lambda v: reconstruct_solution(apply_time_average(XI, PARAMS), PARAMS, v),
+    "times (Trajectory)": lambda v: Trajectory(v, np.ones((3, 2)), XI.basis),
+}
+
+
+def _short(x):
+    return "10**400" if x == 10**400 else repr(x)
+
+
+@pytest.mark.parametrize("bad", [None, "1", [1], np.inf, -np.inf, np.nan, 10**400, 1j], ids=_short)
+@pytest.mark.parametrize("arg", SCALARS)
+def test_scalars_refused(arg, bad):
+    call, real = SCALARS[arg]
+    if arg == "c_A" and bad is None or bad == 1j and not real:
+        call(bad)  # the default shift, and a complex r, are valid
+    else:
+        refused(call, bad, arg)
+
+
+@pytest.mark.parametrize("x", [2, 2.5, np.float64(2.5), np.int64(2)], ids=repr)
+@pytest.mark.parametrize("arg", SCALARS)
+def test_real_numbers_are_read_as_given(arg, x):
+    SCALARS[arg][0](x)
+
+
+@pytest.mark.parametrize("arg", POSITIVE)
+def test_integers_beyond_the_doubles_refused(arg):
+    # float(10**400) raises OverflowError
+    refused(POSITIVE[arg], 10**400, arg.split()[0])
+
+
+def test_default_shift_is_asked_by_none():
+    assert make_custom_basis([-1.0, 2.0], 1.0, None).c_A == 2.0
+
+
+@pytest.mark.parametrize("bad", [None, "1", np.inf, np.nan, 1j, [1.0, np.nan, 3.0], [1.0, 2.0, np.inf], [],
+                                 [[1.0, 2.0, 3.0]], [1.0, None, 3.0], ["a", "b", "c"], ["1", "2", "3"],
+                                 [[1.0], 2.0, 3.0]], ids=repr)
+@pytest.mark.parametrize("arg", LOOSE_VECTORS)
+def test_loose_vectors_refused(arg, bad):
+    refused(LOOSE_VECTORS[arg], bad, arg.split()[0])
+
+
+@pytest.mark.parametrize("bad", ["abc", [["a", "b"]] * 3, [["1", "2"]] * 3, None, np.full((3, 2), np.nan),
+                                 np.ones((3, 3))], ids=["text", "letters", "digits", "None", "nan", "shape"])
+def test_trajectory_states_refused(bad):
+    refused(lambda s: Trajectory([0.0, 0.5, 1.0], s, XI.basis), bad, "states")
+
+
+@pytest.mark.parametrize("arg", VECTORS)
+def test_strings_are_not_numbers(arg):
+    # numpy would read "1" as the number 1
+    refused(VECTORS[arg][0], ["1", "2", "3"], arg)
+
+
+def test_grid_state_length_refused_by_both_oracle_entries():
+    cfg = FdConfig(16, 0.25)
+    for call in (lambda g: cn_step(g, cfg), lambda g: oracle_time_average(g, PARAMS, cfg)):
+        refused(call, GridState(np.ones(15)), "state length")

@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +14,10 @@ import pytest
 
 import schrodavg
 from schrodavg import (
-    AveragingParams, ModeCoefficients, apply_time_average, load_coefficients, make_dirichlet_basis,
+    AveragingParams, InvalidArgumentError, ModeCoefficients, apply_time_average, load_coefficients,
+    make_dirichlet_basis,
 )
-from schrodavg.cli import COMMANDS, ExperimentConfig, load_config, main, run
+from schrodavg.cli import COMMANDS, ExperimentConfig, build_parser, load_config, main, run
 
 T_FULL_REVOLUTION = 2.0 / np.pi
 
@@ -533,3 +536,134 @@ class TestGoldenBytes:
         with pytest.raises(AssertionError, match=r"\('b', 'y.csv'\)") as info:
             assert_digests({("a", "x.csv"): "0", ("b", "y.csv"): "2"}, want)
         assert "x.csv" not in str(info.value)
+
+
+# config path -> values of that setting which its rule refuses, as JSON writes
+# them.  Every row of the config table has an entry, and every numeric row a
+# non-finite, an out-of-range and a string value, and a count a non-integral one.
+REFUSED_SETTINGS = {
+    "out": [5, ["out"]],
+    "r": [[np.nan, 0.0], [0.0, np.inf], ["1", 0.0], "1", [1.0, 2.0, 3.0], [1.0]],
+    "T": [np.inf, np.nan, 0.0, -1.0, "1"],
+    "basis.N": [np.inf, np.nan, 0, 3.7, "8"],
+    "seed": [np.inf, np.nan, -1, 3.7, "5"],
+    "noise": [np.inf, np.nan, -1e-6, "0"],
+    "basis": [[1], 5, "dirichlet_interval"],
+    "decay": [np.inf, np.nan, 1.0, 0.5, "3"],
+    "coeffs": [[[np.nan, 0.0]], [[1.0, "0"]], "1", [1.0, 0.0], [[1.0, 0.0, 0.0]]],
+    "oracle.M": [np.inf, np.nan, 2, 256.5, "256"],
+    "oracle.dt": [np.inf, np.nan, 0.0, -1e-3, "0.001"],
+    "oracle.modes": [np.inf, np.nan, 0, 2.5, "2"],
+    "trajectory_steps": [np.inf, np.nan, 0, 3.7, "32"],
+    "sweep_r_re": [[np.nan], [0.1, np.inf], "0.5", ["0.5"], [[0.5]]],
+}
+# flag -> texts that its row's rule refuses; --out takes any text as a path
+REFUSED_FLAGS = {
+    "--r-re": ["nan", "inf", "abc"],
+    "--r-im": ["nan", "-inf", "abc"],
+    "--T": ["inf", "nan", "0", "-1", "abc"],
+    "--N": ["inf", "0", "3.7", "abc"],
+    "--seed": ["nan", "-1", "3.7", "abc"],
+    "--noise": ["inf", "nan", "-1e-6", "abc"],
+}
+ROWS = {f.metadata["path"]: f for f in fields(ExperimentConfig)}
+
+
+def _nested(path, value):
+    """The config object that sets ``path`` (dotted) to value."""
+    *parents, key = path.split(".")
+    obj = {key: value}
+    for name in reversed(parents):
+        obj = {name: obj}
+    return obj
+
+
+def _one_refusal(capsys, path):
+    """stderr holds one config-error line, whose message names ``path`` first."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    diag = json.loads(err[0])
+    assert diag["error"] == "config-error"
+    assert diag["message"].startswith(f"{path} "), diag["message"]
+
+
+class TestConfigRules:
+    def test_every_row_has_a_rule_and_refused_values(self):
+        # a new row without a rule, or without entries here, fails this test
+        assert set(ROWS) == set(REFUSED_SETTINGS)
+        assert all(callable(f.metadata["rule"]) for f in ROWS.values())
+        flags = {flag for f in ROWS.values() for flag in f.metadata["flags"]}
+        assert flags - {"--out"} == set(REFUSED_FLAGS)
+
+    @pytest.mark.parametrize("path, value", [(p, v) for p, vs in REFUSED_SETTINGS.items() for v in vs], ids=repr)
+    def test_refused_from_the_file(self, tmp_path, monkeypatch, capsys, path, value):
+        monkeypatch.chdir(tmp_path)  # the default out, were "out" not refused
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_nested(path, value)))
+        assert main(["forward", "--config", str(cfg_path)]) == 1
+        _one_refusal(capsys, path)
+
+    @pytest.mark.parametrize("flag, text", [(f, t) for f, ts in REFUSED_FLAGS.items() for t in ts], ids=repr)
+    def test_refused_from_the_flag(self, tmp_path, capsys, flag, text):
+        path = next(p for p, f in ROWS.items() if flag in f.metadata["flags"])
+        assert main(["forward", "--out", str(tmp_path / "x"), f"{flag}={text}"]) == 1
+        _one_refusal(capsys, path)
+
+    @pytest.mark.parametrize("path, value", [(p, v) for p, vs in REFUSED_SETTINGS.items() for v in vs], ids=repr)
+    def test_refused_when_built_by_hand(self, tmp_path, path, value):
+        f = ROWS[path]
+        try:  # the form Python code writes: a complex number for [re, im]
+            value = f.metadata["decode"](value, path) if f.metadata["decode"] else value
+        except InvalidArgumentError:
+            pass
+        with pytest.raises(InvalidArgumentError, match=rf"^{re.escape(path)} "):
+            run(ExperimentConfig(**{"out": tmp_path / "x", f.name: value}), "forward")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("settings", [{"seed": -1}, {"noise": -1.0}, {"decay": 0.5}, {"r": complex(np.nan, 0)},
+                                          {"trajectory_steps": 0}, {"sweep_re": [np.nan]}], ids=repr)
+    def test_hand_built_config_is_checked(self, tmp_path, settings):
+        with pytest.raises(InvalidArgumentError):
+            run(ExperimentConfig(out=tmp_path / "x", **settings), "forward")
+
+    def test_json_literal_beyond_the_doubles_is_refused(self, tmp_path, capsys):
+        # 1e400 parses to inf, and 10**400 to an int that no double holds
+        for text in ('{"decay": 1e400}', '{"T": 1' + "0" * 400 + "}"):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(text)
+            assert main(["forward", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+            _one_refusal(capsys, text[2:].split('"')[0])
+
+    def test_oracle_modes_are_named(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"oracle": {"modes": 0}}))
+        assert main(["oracle-check", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+        _one_refusal(capsys, "oracle.modes")
+
+    def test_integer_seed_flag_is_exact(self, tmp_path):
+        seed = 2**70 + 1  # a float would read 2**70
+        args = build_parser().parse_args(["forward", "--seed", str(seed)])
+        assert load_config(None, args).seed == seed
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["forward", "--N", "4", "--seed", str(seed), "--out", str(a)]) == 0
+        run(ExperimentConfig(N=4, seed=seed, out=b), "forward")
+        assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
+
+    def test_integral_flag_counts(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["roundtrip", "--N", "8.0", "--out", str(out)]) == 0
+        _, rows = read_csv(out / "errors.csv")
+        assert len(rows) == 8
+
+    def test_empty_sweep_runs(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sweep_r_re": []}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert (out / "errors.csv").read_text().count("\n") == 1  # the header alone
+
+    def test_flag_part_of_r_keeps_the_other_part(self):
+        args = build_parser().parse_args(["forward", "--r-re", "0.5"])
+        assert load_config(None, args).r == complex(0.5, 0.0)
+        args = build_parser().parse_args(["forward", "--r-im", "-2", "--r-re", "3"])
+        assert load_config(None, args).r == complex(3.0, -2.0)
