@@ -6,8 +6,8 @@ both read through one table, the fields of ExperimentConfig; outputs are CSV
 files with 17-significant-digit formatting (byte-identical for identical
 configs) and a report.json per run.
 
-Exit codes: 0 success, 1 configuration error, 2 ill-posed parameters,
-3 degenerate modes, 4 numeric overflow.
+Exit codes: 0 success, 1 configuration error or an output that cannot be
+written, 2 ill-posed parameters, 3 degenerate modes, 4 numeric overflow.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .spectral import (
     DIRICHLET,
     ModeCoefficients,
     _complex_pairs,
+    _read_json,
     _write_csv,
     basis_from_json,
     save_coefficients,
@@ -80,7 +81,7 @@ class ExperimentConfig:
     out: Path = _setting(Path("out"), "out", _path, "--out")
     r: complex = _setting(complex(1.0, 0.0), "r", _complex, "--r-re", "--r-im", decode=_complex_pairs)
     T: float = _setting(1.0, "T", _positive, "--T")
-    # None: 64 modes, or one per eigenvalue of a custom basis
+    # None: the basis object's N, else 64 (custom: one mode per eigenvalue)
     N: int | None = _setting(None, "basis.N", _count, "--N", least=1)
     # numpy's generators take no negative seed
     seed: int = _setting(1234, "seed", _count, "--seed", least=0)
@@ -120,12 +121,7 @@ def load_config(path=None, args=None) -> ExperimentConfig:
     """The JSON config at ``path`` (if any) with the flags that ``args`` (from
     build_parser) gives on top, gathered along the ExperimentConfig rows,
     whose rules then check them."""
-    obj = {}
-    if path is not None:
-        try:
-            obj = _section(json.loads(Path(path).read_text()), "config")
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InvalidArgumentError(f"cannot read config {path}: {exc}") from exc
+    obj = {} if path is None else _section(_read_json(path, "config"), "config")
     values = {}
     for f in fields(ExperimentConfig):
         *parents, key = f.metadata["path"].split(".")
@@ -191,7 +187,8 @@ def run(cfg: ExperimentConfig, command: str) -> dict:
     t0 = time.perf_counter()
 
     obj = {"kind": DIRICHLET, "L": 1.0, **(cfg.basis or {})}
-    N = 64 if cfg.N is None and obj["kind"] != CUSTOM else cfg.N  # custom: one per eigenvalue
+    N = obj.get("N") if cfg.N is None else cfg.N  # the N row, as --N beats the file
+    N = 64 if N is None and obj["kind"] != CUSTOM else N  # custom: one per eigenvalue
     if command == "oracle-check" and obj["kind"] == DIRICHLET:  # oracle_mu_coeffs refuses other kinds
         N = min(cfg.oracle_modes, N)  # the grid compares the lowest modes only
     basis = basis_from_json({**obj, "N": N})
@@ -353,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # error class -> diagnostic name and exit code, the first class that matches
 _EXITS = ((IllPosedError, "ill-posed-parameters", 2), (DegenerateModeError, "degenerate-mode", 3),
-          (NumericError, "numeric-error", 4), (SchrodavgError, "config-error", 1))
+          (NumericError, "numeric-error", 4), ((SchrodavgError, OSError), "config-error", 1))
 
 
 def _diagnostic(kind: str, exc: Exception) -> None:
@@ -367,7 +364,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = run(load_config(args.config, args), args.command)
-    except SchrodavgError as exc:
+    except (SchrodavgError, OSError) as exc:  # an OSError: an --out or output that cannot be written
         kind, code = next((kind, code) for cls, kind, code in _EXITS if isinstance(exc, cls))
         _diagnostic(kind, exc)
         return code

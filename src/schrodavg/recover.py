@@ -29,7 +29,8 @@ _LOG_MAX = math.log(np.finfo(float).max)  # exp(x) overflows exactly where x > _
 def recover_initial(
     mu: ModeCoefficients, params: AveragingParams, *, allow_ill_posed: bool = False
 ) -> ModeCoefficients:
-    """Initial state with alpha_k = gamma_k / zeta_k."""
+    """Initial state with alpha_k = gamma_k / zeta_k; allow_ill_posed=True, the
+    package's one override of the Re r = 0 refusal, divides there too."""
     f = _factors(mu.basis, params)
     if f.degenerate.size:
         # checked before the ill-posedness gate: vanishing factors are the
@@ -38,30 +39,22 @@ def recover_initial(
     if params.r.real == 0.0 and not allow_ill_posed:
         raise IllPosedError(
             "Re r = 0: inversion is ill-posed (factors can vanish and the "
-            "stability constant diverges); pass allow_ill_posed=True to force"
+            "stability constant diverges); recover_initial(..., allow_ill_posed=True) forces it"
         )
     return ModeCoefficients(mu.values / f.values, mu.basis)
 
 
-def reconstruct_solution(
-    mu: ModeCoefficients,
-    params: AveragingParams,
-    times,
-    *,
-    allow_ill_posed: bool = False,
-) -> Trajectory:
+def reconstruct_solution(mu: ModeCoefficients, params: AveragingParams, times) -> Trajectory:
     """Full trajectory through the recovered initial state.
 
     Equivalent to the closed form gamma_k (r - i lambda_k) exp(-i lambda_k t)
     / (exp((r - i lambda_k) T) - 1); the t = 0 slice equals recover_initial.
     """
-    xi = recover_initial(mu, params, allow_ill_posed=allow_ill_posed)
+    xi = recover_initial(mu, params)
     return _trajectory(xi.values, mu.basis, _check_times(times))
 
 
-def recover_via_shift(
-    mu: ModeCoefficients, params: AveragingParams, *, allow_ill_posed: bool = False
-) -> ModeCoefficients:
+def recover_via_shift(mu: ModeCoefficients, params: AveragingParams) -> ModeCoefficients:
     """Alternate inversion route through the problem translated so every
     eigenvalue is >= 1.
 
@@ -74,7 +67,6 @@ def recover_via_shift(
     xi_bar = recover_initial(
         ModeCoefficients(mu.values, shifted_basis),
         AveragingParams(params.r + 1j * q, params.T),
-        allow_ill_posed=allow_ill_posed,
     )
     return ModeCoefficients(xi_bar.values, mu.basis)
 
@@ -172,20 +164,14 @@ def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> Condit
     )
 
 
-def potential_shift_solution(
-    mu: ModeCoefficients,
-    params: AveragingParams,
-    times,
-    *,
-    allow_ill_posed: bool = False,
-) -> Trajectory:
+def potential_shift_solution(mu: ModeCoefficients, params: AveragingParams, times) -> Trajectory:
     """w(t) = exp(r t) u(t): solution of the variant with potential -i r.
 
     w satisfies (1/i) dw/dt = A w - i r w with the same averaged data
     interpretation; each state is the reconstructed one scaled by the scalar
     exp(r t).
     """
-    u = reconstruct_solution(mu, params, times, allow_ill_posed=allow_ill_posed)
+    u = reconstruct_solution(mu, params, times)
     with np.errstate(over="ignore", invalid="ignore"):
         states = np.exp(params.r * u.times)[:, None] * u.states
     _require_finite(states, u.times)  # NumericError names the first overflowing time

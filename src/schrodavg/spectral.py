@@ -377,11 +377,18 @@ def save_coefficients(path, c: ModeCoefficients) -> None:
     Path(path).write_text(json.dumps(basis_to_json(c.basis, coeffs=coeffs), indent=2) + "\n")
 
 
-def load_coefficients(path) -> ModeCoefficients:
+def _read_json(path, what: str):
+    """The JSON value in the file at ``path``, every JSON input's one reader:
+    a file that cannot be read, is not UTF-8 or is not JSON is refused as
+    "cannot read <what> <path>: <reason>"."""
     try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
-        raise InvalidArgumentError(f"cannot read coefficients {path}: {exc}") from exc
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep to parse
+        raise InvalidArgumentError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_coefficients(path) -> ModeCoefficients:
+    obj = _read_json(path, "coefficients")
     basis = basis_from_json(obj)  # first: it refuses an obj that is not a JSON object
     return ModeCoefficients(_complex_pairs(obj.get("coeffs"), "coeffs"), basis)
 

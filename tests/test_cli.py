@@ -667,3 +667,87 @@ class TestConfigRules:
         assert load_config(None, args).r == complex(0.5, 0.0)
         args = build_parser().parse_args(["forward", "--r-im", "-2", "--r-re", "3"])
         assert load_config(None, args).r == complex(3.0, -2.0)
+
+
+class TestFileEdge:
+    """The files at the CLI's edge: a config that cannot be read, an --out that
+    cannot be made, and the mode count of a file against a hand-built config."""
+
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'{"T": 1.0}\xff')
+        assert main(["forward", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        diag = json.loads(err[0])
+        assert diag["error"] == "config-error"
+        assert diag["message"].startswith(f"cannot read config {cfg_path}: ")
+
+    def test_non_utf8_coefficients_refused(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(b"\xff")
+        with pytest.raises(InvalidArgumentError, match=rf"^cannot read coefficients {re.escape(str(path))}: "):
+            load_coefficients(path)
+
+    def test_json_nested_beyond_the_parser_is_refused(self, tmp_path, capsys):
+        # valid JSON, but json.loads runs out of recursion depth on it
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["conditioning", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert json.loads(err[0])["message"].startswith(f"cannot read config {path}: ")
+        with pytest.raises(InvalidArgumentError, match="^cannot read coefficients "):
+            load_coefficients(path)
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])
+    def test_unusable_out_exits_one(self, tmp_path, capsys, sub):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        assert main(["conditioning", "--out", str(taken / sub)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        diag = json.loads(err[0])
+        assert diag["error"] == "config-error"
+        assert str(taken) in diag["message"]
+        assert taken.read_text() == "not a directory\n"
+
+    def test_hand_built_basis_counts_as_the_file(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"basis": {"N": 8}}))
+        assert main(["conditioning", "--config", str(cfg_path), "--out", str(tmp_path / "file")]) == 0
+        run(ExperimentConfig(basis={"N": 8}, out=tmp_path / "hand"), "conditioning")
+        from_file = (tmp_path / "file" / "zeta.csv").read_bytes()
+        assert (tmp_path / "hand" / "zeta.csv").read_bytes() == from_file
+        assert from_file.count(b"\n") == 8 + 1
+
+    def test_the_N_row_beats_the_basis_object(self, tmp_path):
+        run(ExperimentConfig(N=5, basis={"N": 8}, out=tmp_path / "hand"), "conditioning")
+        _, rows = read_csv(tmp_path / "hand" / "zeta.csv")
+        assert len(rows) == 5
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"basis": {"N": 8}}))
+        assert main(["conditioning", "--config", str(cfg_path), "--N", "5", "--out", str(tmp_path / "file")]) == 0
+        assert (tmp_path / "file" / "zeta.csv").read_bytes() == (tmp_path / "hand" / "zeta.csv").read_bytes()
+
+    def test_hand_built_custom_basis_has_one_mode_per_eigenvalue(self, tmp_path):
+        run(ExperimentConfig(basis={"kind": "custom", "lambdas": [1.0, 2.0, 3.0]}, out=tmp_path / "x"),
+            "conditioning")
+        _, rows = read_csv(tmp_path / "x" / "zeta.csv")
+        assert len(rows) == 3
+
+    # a traceback on any of these paths writes more than one stderr line
+    @pytest.mark.parametrize("config, out", [(b"\xff", "x"), (b"{}", "taken")], ids=["non-utf8-config", "file-as-out"])
+    def test_module_failure_is_one_json_line(self, tmp_path, config, out):
+        (tmp_path / "taken").write_text("")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(config)
+        proc = subprocess.run(
+            [sys.executable, "-m", "schrodavg.cli", "conditioning", "--config", str(cfg_path),
+             "--out", str(tmp_path / out)],
+            capture_output=True, text=True, env=_env_with_src(),
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert json.loads(lines[0])["error"] == "config-error"

@@ -25,6 +25,7 @@ from schrodavg import (
     reconstruct_solution,
     recover_initial,
     recover_via_shift,
+    sample_trajectory,
     sobolev_norm,
     stability_bound,
     zeta_factor,
@@ -439,3 +440,28 @@ class TestTrajectoryRelation:
         xi = recover_initial(mu, PARAMS)
         for t, s in zip(times, traj.states):
             assert np.abs(s - propagate(xi, t).values).max() < 1e-15
+
+
+class TestIllPosedOverride:
+    """allow_ill_posed belongs to recover_initial alone; a forced trajectory
+    is recover_initial(..., allow_ill_posed=True), then propagate or
+    sample_trajectory."""
+
+    @pytest.mark.parametrize("route", [reconstruct_solution, potential_shift_solution, recover_via_shift])
+    def test_other_routes_take_no_override(self, route):
+        b = make_dirichlet_basis(1.0, 4, 0.0)
+        mu = power_law_state(b, 2, 3.0)
+        args = (mu, AveragingParams(1.0j, 1.0)) + ((np.array([0.0]),) if route is not recover_via_shift else ())
+        with pytest.raises(IllPosedError):
+            route(*args)
+        with pytest.raises(TypeError):
+            route(*args, allow_ill_posed=True)
+
+    def test_forced_trajectory(self):
+        b = make_dirichlet_basis(1.0, 4, 0.0)
+        params = AveragingParams(1.0j, 1.0)
+        xi = power_law_state(b, 3, 2.0)
+        forced = recover_initial(apply_time_average(xi, params), params, allow_ill_posed=True)
+        traj = sample_trajectory(forced, 1.0, 4)
+        for t, state in zip(traj.times, traj.states):
+            assert np.allclose(state, propagate(xi, t).values, rtol=0, atol=1e-12)
