@@ -143,10 +143,13 @@ def forward_smoothing_constant(basis: SpectralBasis, params: AveragingParams) ->
 def zeta_to_csv(factors: ZetaFactors, path) -> None:
     """Rows k,lambda,zeta_re,zeta_im,abs_zeta through the shared 17g writer.
 
-    abs_zeta keeps numpy's scalar abs: vectorised np.abs can differ in the last
-    bit, and Python's complex abs raises OverflowError where numpy's reads inf.
+    abs_zeta is np.hypot of the parts, which has the bits of numpy's scalar
+    complex abs: vectorised np.abs (ZetaFactors.abs_values) can differ in the
+    last bit.  It reads inf where |z| overflows although both parts are finite.
     """
     z = factors.values
+    with np.errstate(over="ignore"):  # numpy's scalar abs does not warn there either
+        abs_z = np.hypot(z.real, z.imag)
     _write_csv(path, "k,lambda,zeta_re,zeta_im,abs_zeta", [
-        range(1, z.size + 1), factors.basis.lambdas, z.real, z.imag, [abs(v) for v in z],
+        range(1, z.size + 1), factors.basis.lambdas, z.real, z.imag, abs_z,
     ])

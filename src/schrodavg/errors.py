@@ -18,9 +18,10 @@ class InvalidArgumentError(SchrodavgError, ValueError):
 
 def _read(x, kind):
     """kind(x), kind float or complex, for a number x of that kind, else nan:
-    "1", None, [1], 1j as a float and an integer beyond the doubles are not."""
+    "1", None, [1], True, 1j as a float and an integer beyond the doubles are not."""
     try:
-        return kind(x) if isinstance(x, numbers.Real if kind is float else numbers.Complex) else kind(math.nan)
+        number = isinstance(x, numbers.Real if kind is float else numbers.Complex) and not isinstance(x, bool)
+        return kind(x) if number else kind(math.nan)
     except OverflowError:
         return kind(math.nan)
 
@@ -44,22 +45,24 @@ def _complex(x, name: str) -> complex:
     return v
 
 
-def _count(n, name: str, least: int) -> int:
-    """int(n) for an integral number n >= least: 4.0 counts, 3.7, inf, nan and "4" do not."""
-    integral = isinstance(n, numbers.Integral) or isinstance(n, numbers.Real) and float(n).is_integer()
-    if not integral or n < least:
-        raise InvalidArgumentError(f"{name} must be an integer >= {least}, got {n!r}")
+def _count(n, name: str, least: int, most: float = 2**53) -> int:
+    """int(n) for an integral number least <= n <= most: 4.0 counts; 3.7, inf,
+    nan, True and "4" do not.  Past the default ``most``, 2^53, every double
+    is an integer and no array fits; a seed, which sizes nothing, passes inf."""
+    if not (_read(n, float).is_integer() and least <= n <= most):
+        upper = "" if most == math.inf else f" and <= {most:.0f}"
+        raise InvalidArgumentError(f"{name} must be an integer >= {least}{upper}, got {n!r}")
     return int(n)
 
 
 def _array(x, dtype, name: str, copy: bool = True) -> np.ndarray:
     """x as an array of dtype, a copy unless ``copy`` is False; values numpy
     cannot read as dtype (None in a list, "abc", 1j as a float, ragged
-    lists, integers beyond the doubles) are refused, and so are strings,
-    which numpy would read as numbers."""
+    lists, integers beyond the doubles) are refused, and so are strings and
+    booleans, which numpy would read as numbers."""
     try:
-        if np.asarray(x).dtype.kind in "SU":
-            raise TypeError("strings are not numbers")
+        if np.asarray(x).dtype.kind in "SUb":
+            raise TypeError("strings and booleans are not numbers")
         return (np.array if copy else np.asarray)(x, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"{name} must be an array of numbers: {exc}") from exc

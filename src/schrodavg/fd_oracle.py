@@ -113,9 +113,7 @@ _MAX_STEPS = 10**7
 
 
 def _step_count(T: float, dt: float) -> int:
-    n = _count(float(np.rint(T / dt)), "round(T/dt)", 2)  # T / dt may overflow to inf
-    if n > _MAX_STEPS:
-        raise InvalidArgumentError(f"round(T/dt) = {n:.10g} exceeds the budget of {_MAX_STEPS} steps")
+    n = _count(float(np.rint(T / dt)), "round(T/dt)", 2, _MAX_STEPS)  # T / dt may overflow to inf
     if abs(n * dt - T) > 1.0e-9 * max(T, 1.0):
         raise InvalidArgumentError(f"T/dt = {T / dt:.6g} must be an integer number of steps")
     if n % 2 != 0:

@@ -100,22 +100,15 @@ def _abs_expm1(x: float) -> float:
     return abs(math.expm1(x)) if x <= _LOG_MAX else math.inf
 
 
-def _abs(r: complex) -> float:
-    """|r| as Python's complex abs takes it, but inf where that raises OverflowError."""
-    try:
-        return abs(complex(r))
-    except OverflowError:
-        return math.inf
-
-
 def stability_bound(params: AveragingParams) -> float:
     """(1 + |r|) / |exp((Re r) T) - 1|; requires Re r != 0."""
     if params.r.real == 0.0:
         raise IllPosedError("stability bound diverges at Re r = 0")
-    x, a = params.r.real * params.T, _abs(params.r)
-    denom = _abs_expm1(x)  # 0 once Re r T underflows
-    if x > 0 and math.inf in (a, denom):  # in logs, log|r| from halved parts
-        num = math.log1p(a) if a < math.inf else math.log(_abs(params.r / 2)) + math.log(2.0)
+    # |r / 2| cannot overflow, and doubling it is exact: |r|, or inf where that overflows
+    x, half = params.r.real * params.T, abs(params.r / 2)
+    a, denom = 2.0 * half, _abs_expm1(x)  # denom is 0 once Re r T underflows
+    if x > 0 and math.inf in (a, denom):  # in logs
+        num = math.log1p(a) if a < math.inf else math.log(half) + math.log(2.0)
         den = x + math.log1p(-math.exp(-x)) if denom == math.inf else math.log(denom)
         return math.exp(num - den) if num - den <= _LOG_MAX else math.inf
     return (1.0 + a) / denom if denom > 0 else math.inf
@@ -132,14 +125,12 @@ def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> Condit
     lam = basis.lambdas
     f = _factors(basis, params)
     denom_re = _abs_expm1(params.r.real * params.T)
-    # |exp(rT) - 1| >= |exp(Re r T) - 1|, so it overflows whenever that does
-    denom_full = math.inf if denom_re == math.inf else _abs(_cexpm1(np.complex128(params.r * params.T)))
-    abs_r = _abs(params.r)
-    try:  # Python's float power, not numpy's square: their last bits differ
-        r2 = abs_r ** 2
-    except OverflowError:
-        r2 = math.inf
+    # numpy's scalar abs and power: Python's bits, but inf where Python's raise
     with np.errstate(over="ignore"):
+        # |exp(rT) - 1| >= |exp(Re r T) - 1|, so it overflows whenever that does
+        denom_full = math.inf if denom_re == math.inf else abs(_cexpm1(np.complex128(params.r * params.T)))
+        abs_r = abs(np.complex128(params.r))
+        r2 = abs_r**2  # a scalar power, not np.square: their last bits differ
         inv_bound = _quotient(np.hypot(params.r.real, params.r.imag - lam), denom_re, params.T)
         # hypot only where the sum of squares overflows or underflows below
         # the smallest normal double: elsewhere it would move the last bit of

@@ -159,7 +159,7 @@ def make_custom_basis(
     Without an ``eigenfunctions`` callable the basis supports every
     coefficient-space operation but not grid synthesis/projection.
     """
-    lam = _vector(lambdas, float, "lambdas")
+    lam = _array(lambdas, float, "lambdas", copy=False)  # SpectralBasis checks and copies it
     labels = np.arange(1, lam.size + 1)
     return SpectralBasis(CUSTOM, domain_length, lam, c_A, labels, eigenfunctions)
 
@@ -373,7 +373,7 @@ def basis_from_json(obj: dict) -> SpectralBasis:
 
 
 def save_coefficients(path, c: ModeCoefficients) -> None:
-    coeffs = [[float(v.real), float(v.imag)] for v in c.values]
+    coeffs = c.values.view(float).reshape(-1, 2).tolist()  # [re, im] per mode
     Path(path).write_text(json.dumps(basis_to_json(c.basis, coeffs=coeffs), indent=2) + "\n")
 
 

@@ -3,6 +3,7 @@ entry point takes is refused with InvalidArgumentError naming the argument,
 never with a builtin OverflowError, TypeError or ValueError, and never after a
 warning."""
 
+import math
 import re
 
 import numpy as np
@@ -30,6 +31,7 @@ from schrodavg import (
     unit_floor_shift,
     zeta_factor,
 )
+from schrodavg.errors import _count
 from schrodavg.fd_oracle import _MAX_STEPS, _step_count
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -215,3 +217,37 @@ def test_grid_state_length_refused_by_both_oracle_entries():
     cfg = FdConfig(16, 0.25)
     for call in (lambda g: cn_step(g, cfg), lambda g: oracle_time_average(g, PARAMS, cfg)):
         refused(call, GridState(np.ones(15)), "state length")
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, False], ids=repr)
+def test_booleans_are_not_numbers(bad):
+    # bool is a numbers.Integral, and numpy reads True as 1
+    for arg, call in COUNTS.items():
+        refused(call, bad, arg.split()[0])
+    for arg, call in POSITIVE.items():
+        refused(call, bad, arg.split()[0])
+    for arg, (call, _) in SCALARS.items():
+        refused(call, bad, arg)
+    refused(lambda x: zeta_factor(1.0, 1.0, x), bad, "lam")
+
+
+@pytest.mark.parametrize("bad", [[True, False, True], np.ones(3, dtype=bool)], ids=["list", "array"])
+def test_boolean_vectors_refused(bad):
+    for arg, (build, _) in VECTORS.items():
+        refused(build, bad, arg)
+    for arg, call in LOOSE_VECTORS.items():
+        refused(call, bad, arg.split()[0])
+
+
+@pytest.mark.parametrize("bad", [2**53 + 2, 1e20, 2**63, 10**400], ids=_short)
+@pytest.mark.parametrize("arg", COUNTS)
+def test_counts_beyond_2_to_53_refused(arg, bad):
+    # every double past 2^53 is an integer, and no array of that length fits
+    refused(COUNTS[arg], bad, arg.split()[0])
+
+
+def test_a_count_without_an_upper_end_is_exact():
+    # a seed sizes no array: it takes any integer a double can hold, exactly
+    assert _count(2**70 + 1, "seed", 0, math.inf) == 2**70 + 1
+    refused(lambda n: _count(n, "seed", 0, math.inf), 10**400, "seed")
+    refused(lambda n: _count(n, "seed", 0, math.inf), True, "seed")

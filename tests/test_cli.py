@@ -668,6 +668,47 @@ class TestConfigRules:
         args = build_parser().parse_args(["forward", "--r-im", "-2", "--r-re", "3"])
         assert load_config(None, args).r == complex(3.0, -2.0)
 
+    # a JSON true or false is not a number, alone or as a vector
+    BOOLEANS = [("basis.N", True), ("T", True), ("seed", True), ("noise", False), ("decay", True),
+                ("oracle.M", True), ("trajectory_steps", True), ("r", [True, False]),
+                ("coeffs", [[True, False]]), ("sweep_r_re", [True])]
+
+    @pytest.mark.parametrize("path, value", BOOLEANS, ids=repr)
+    def test_booleans_refused_from_the_file(self, tmp_path, capsys, path, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_nested(path, value)))
+        assert main(["forward", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+        _one_refusal(capsys, path)
+
+    @pytest.mark.parametrize("path, value", [(p, v) for p, v in BOOLEANS if not isinstance(v, list)], ids=repr)
+    def test_booleans_refused_when_built_by_hand(self, tmp_path, path, value):
+        with pytest.raises(InvalidArgumentError, match=rf"^{re.escape(path)} "):
+            ExperimentConfig(**{"out": tmp_path / "x", ROWS[path].name: value})
+
+    def test_seed_beyond_the_doubles_is_refused(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"seed": 1' + "0" * 400 + "}")
+        assert main(["forward", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+        _one_refusal(capsys, "seed")
+
+    # counts past 2^53, where every double is an integer and no array fits
+    @pytest.mark.parametrize("command, path, value", [
+        ("forward", "basis.N", 1e20), ("forward", "basis.N", 2**63), ("forward", "trajectory_steps", 1e20),
+        ("oracle-check", "oracle.M", 1e20), ("oracle-check", "oracle.modes", 2**53 + 2),
+    ], ids=repr)
+    def test_counts_beyond_2_to_53_refused(self, tmp_path, capsys, command, path, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_nested(path, value)))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+        _one_refusal(capsys, path)
+
+    def test_count_too_large_to_allocate_exits_one(self, tmp_path, capsys):
+        # 2^53 modes, 64 PiB of labels: malloc refuses it at once
+        assert main(["forward", "--N", str(2**53), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert json.loads(err[0])["error"] == "config-error"
+
 
 class TestFileEdge:
     """The files at the CLI's edge: a config that cannot be read, an --out that
@@ -737,14 +778,25 @@ class TestFileEdge:
         assert len(rows) == 3
 
     # a traceback on any of these paths writes more than one stderr line
-    @pytest.mark.parametrize("config, out", [(b"\xff", "x"), (b"{}", "taken")], ids=["non-utf8-config", "file-as-out"])
-    def test_module_failure_is_one_json_line(self, tmp_path, config, out):
+    @pytest.mark.parametrize("command, config, out, flags", [
+        ("conditioning", b"\xff", "x", []),
+        ("conditioning", b"{}", "taken", []),
+        ("roundtrip", b'{"coeffs": [[true, false]], "basis": {"N": 1}}', "x", []),
+        ("sweep", b'{"sweep_r_re": [true]}', "x", []),
+        ("forward", b"{}", "x", ["--N", "100000000000000000000"]),
+        ("forward", b'{"trajectory_steps": 1e20}', "x", []),
+        ("oracle-check", b'{"oracle": {"M": 1e20}}', "x", []),
+        ("forward", b"{}", "x", ["--N", "9223372036854775808"]),
+        ("forward", b"{}", "x", ["--N", "9007199254740992"]),  # 64 PiB, which malloc refuses at once
+    ], ids=["non-utf8-config", "file-as-out", "boolean-coeffs", "boolean-sweep", "N-1e20", "steps-1e20",
+            "oracle-M-1e20", "N-2^63", "N-2^53"])
+    def test_module_failure_is_one_json_line(self, tmp_path, command, config, out, flags):
         (tmp_path / "taken").write_text("")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_bytes(config)
         proc = subprocess.run(
-            [sys.executable, "-m", "schrodavg.cli", "conditioning", "--config", str(cfg_path),
-             "--out", str(tmp_path / out)],
+            [sys.executable, "-m", "schrodavg.cli", command, "--config", str(cfg_path),
+             "--out", str(tmp_path / out), *flags],
             capture_output=True, text=True, env=_env_with_src(),
         )
         assert proc.returncode == 1

@@ -31,7 +31,7 @@ from schrodavg import (
     zeta_factor,
 )
 from schrodavg.averaging import _cexpm1
-from schrodavg.recover import report_summary, report_to_csv
+from schrodavg.recover import _LOG_MAX, _TINY, _abs_expm1, _quotient, report_summary, report_to_csv
 
 PARAMS = AveragingParams(1.0, 1.0)
 
@@ -382,6 +382,84 @@ class TestStabilityBound:
             if r.real != 0.0:
                 expected = (1.0 + abs(r)) / abs(math.expm1(r.real * T))
                 assert stability_bound(AveragingParams(r, T)) == expected
+
+
+def _python_abs(r) -> float:
+    """|r| by Python's complex abs, inf where that raises OverflowError."""
+    try:
+        return abs(complex(r))
+    except OverflowError:
+        return math.inf
+
+
+def _python_abs_stability_bound(params: AveragingParams) -> float:
+    """stability_bound in the form that took |r| through _python_abs."""
+    x, a = params.r.real * params.T, _python_abs(params.r)
+    denom = _abs_expm1(x)
+    if x > 0 and math.inf in (a, denom):
+        num = math.log1p(a) if a < math.inf else math.log(_python_abs(params.r / 2)) + math.log(2.0)
+        den = x + math.log1p(-math.exp(-x)) if denom == math.inf else math.log(denom)
+        return math.exp(num - den) if num - den <= _LOG_MAX else math.inf
+    return (1.0 + a) / denom if denom > 0 else math.inf
+
+
+def _python_abs_psi(basis, params) -> np.ndarray:
+    """conditioning_report's psi in the form that took |r|, |r|^2 and
+    |exp(rT) - 1| through Python's abs and float power."""
+    lam = basis.lambdas
+    denom_re = _abs_expm1(params.r.real * params.T)
+    denom_full = math.inf if denom_re == math.inf else _python_abs(_cexpm1(np.complex128(params.r * params.T)))
+    abs_r = _python_abs(params.r)
+    try:
+        r2 = abs_r ** 2
+    except OverflowError:
+        r2 = math.inf
+    with np.errstate(over="ignore"):
+        sq = r2 + lam**2
+        psi = np.sqrt(sq)
+        if not (sq.min() >= _TINY and psi.max() < math.inf):
+            lost = ~np.isfinite(psi) | (sq < _TINY)
+            psi[lost] = np.hypot(abs_r, lam[lost])
+        return _quotient(psi, denom_full, params.T)
+
+
+def _extreme_draws(seed: int, n: int):
+    """Seeded (r, T) whose parts reach |r| overflow, subnormals and Re r T
+    past log(DBL_MAX); Re r is never 0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        # each part near the largest double, subnormal, or anywhere between
+        exps = [rng.choice([rng.uniform(307.0, 308.25), rng.uniform(-323.3, -308.0), rng.uniform(-300.0, 300.0)])
+                for _ in range(2)]
+        re, im = (rng.choice([-1.0, 1.0], 2) * 10.0 ** np.array(exps)).tolist()
+        if re == 0.0:
+            continue
+        # an ordinary horizon, or one that puts |Re r| T around 709
+        T = 10.0 ** rng.uniform(-3.0, 3.0) if rng.random() < 0.5 else rng.uniform(690.0, 730.0) / abs(re)
+        if 0.0 < T < math.inf:
+            yield AveragingParams(complex(re, im), T)
+
+
+class TestBitsOfTheOverflowRoute:
+    """numpy's scalar abs and power give the bits of Python's, inf where
+    Python's raise, and |r| = 2 |r / 2| exactly: the bound and psi keep the
+    bits of the form that caught OverflowError."""
+
+    def test_stability_bound(self):
+        for params in _extreme_draws(11, 8000):
+            want = _python_abs_stability_bound(params)
+            assert np.float64(stability_bound(params)).tobytes() == np.float64(want).tobytes(), params
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the factors overflow on some draws
+    @pytest.mark.parametrize("basis", [make_dirichlet_basis(1.0, 8), make_periodic_basis(2.0, 9),
+                                       make_custom_basis([-3.0, 0.0, 1e-200, 1.0, 1e300])],
+                             ids=["dirichlet", "periodic", "custom"])
+    def test_conditioning_report(self, basis):
+        for params in _extreme_draws(12, 1500):
+            rep = conditioning_report(basis, params)
+            assert rep.psi.tobytes() == _python_abs_psi(basis, params).tobytes(), params
+            assert np.float64(rep.stability_bound).tobytes() == np.float64(
+                _python_abs_stability_bound(params)).tobytes(), params
 
 
 class TestPotentialShift:

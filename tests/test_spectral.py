@@ -29,6 +29,7 @@ from schrodavg import (
     unit_floor_shift,
 )
 from schrodavg.averaging import ZetaFactors, zeta_to_csv
+from schrodavg import AveragingParams, zeta_factors
 from schrodavg.spectral import (
     _CSV_BLOCK_ROWS,
     _SQRT_TINY,
@@ -36,7 +37,19 @@ from schrodavg.spectral import (
     _norm_weights,
     _weighted_norm,
     _write_csv,
+    basis_to_json,
 )
+
+
+def _extreme_complex(n: int, seed: int) -> np.ndarray:
+    """n seeded complex values whose parts are signed zeros, subnormals, near
+    the largest double, or anywhere between."""
+    rng = np.random.default_rng(seed)
+    exps = np.choose(rng.choice(3, (n, 2), p=[0.2, 0.2, 0.6]), [
+        rng.uniform(307.0, 308.25, (n, 2)), rng.uniform(-323.3, -308.0, (n, 2)), rng.uniform(-300.0, 300.0, (n, 2))])
+    parts = rng.choice([-1.0, 1.0], (n, 2)) * 10.0 ** exps
+    parts[rng.random((n, 2)) < 0.02] *= 0.0  # signed zeros
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 class TestBasisConstruction:
@@ -522,6 +535,15 @@ class TestJsonSchema:
         assert np.array_equal(back.values, c.values)
         assert np.array_equal(back.basis.lambdas, b.lambdas)
 
+    @pytest.mark.parametrize("basis", [make_dirichlet_basis(1.0, 3000), make_custom_basis(np.arange(3000.0))],
+                             ids=["dirichlet", "custom"])
+    def test_bytes_as_the_per_value_loop(self, tmp_path, basis):
+        c = ModeCoefficients(_extreme_complex(3000, 24), basis)
+        path = tmp_path / "c.json"
+        save_coefficients(path, c)
+        coeffs = [[float(v.real), float(v.imag)] for v in c.values]
+        assert path.read_text() == json.dumps(basis_to_json(basis, coeffs=coeffs), indent=2) + "\n"
+
     def test_round_trip_custom_keeps_lambdas(self, tmp_path):
         b = make_custom_basis([-2.0, 0.5, 3.0])
         c = ModeCoefficients([1.0, 2.0, 3.0], b)
@@ -640,6 +662,28 @@ class TestCsvWriter:
     def test_1d_and_2d_columns_of_equal_size_rejected(self, tmp_path):
         with pytest.raises(InvalidArgumentError):
             _write_csv(tmp_path / "w.csv", "a,b", [np.zeros(6), np.zeros((2, 3))])
+
+    def test_zeta_file_as_the_per_factor_loop_at_the_extremes(self, tmp_path):
+        # np.hypot of the parts against the loop of scalar abs it replaced, on
+        # parts from subnormal to near the largest double, signed zeros too
+        z = _extreme_complex(40_000, 23)
+        basis = make_custom_basis(np.linspace(0.0, 1.0, z.size), 1.0, 1.0)
+        path, ref = tmp_path / "zeta.csv", tmp_path / "loop.csv"
+        zeta_to_csv(ZetaFactors(z, basis), path)
+        _write_csv(ref, "k,lambda,zeta_re,zeta_im,abs_zeta",
+                   [range(1, z.size + 1), basis.lambdas, z.real, z.imag, [abs(v) for v in z]])
+        assert path.read_bytes() == ref.read_bytes()
+        assert "inf" in path.read_text()  # some |z| overflows although both parts are finite
+
+    def test_zeta_abs_overflow_reads_inf_without_a_warning(self, tmp_path):
+        # factors whose parts are finite but whose modulus passes the largest
+        # double; the scalar abs wrote inf there and warned of nothing
+        basis = make_custom_basis([0.08648393877396655])
+        f = zeta_factors(basis, AveragingParams(0.16751999221150318, 4228.1111148354485))
+        assert np.isfinite(f.values).all()
+        path = tmp_path / "zeta.csv"
+        zeta_to_csv(f, path)
+        assert path.read_text().splitlines()[1].endswith(",inf")
 
     def test_zeta_abs_column_is_scalar_abs_per_factor(self, tmp_path):
         # numpy's vectorised abs differs from its scalar abs in the last bit
