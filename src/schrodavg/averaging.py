@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, _complex, _positive, _vector
 from .evolve import _map_blocks, _row_blocks
-from .spectral import ModeCoefficients, SpectralBasis, _norm_weights, _write_csv
+from .spectral import ModeCoefficients, SpectralBasis, _norm_weights, _result, _write_csv
 
 # relative to the largest factor magnitude (floored at 1); at or below it a
 # mode is degenerate: inversion refuses to divide by it and names it
@@ -126,7 +126,7 @@ def zeta_factors(basis: SpectralBasis, params: AveragingParams) -> ZetaFactors:
 
 def apply_time_average(xi: ModeCoefficients, params: AveragingParams) -> ModeCoefficients:
     """Image of the state under the averaging map: gamma_k = zeta_k alpha_k."""
-    return ModeCoefficients(_factors(xi.basis, params).values * xi.values, xi.basis)
+    return _result(_factors(xi.basis, params).values * xi.values, xi.basis, "time average")
 
 
 def forward_smoothing_constant(basis: SpectralBasis, params: AveragingParams) -> float:

@@ -41,6 +41,7 @@ from .spectral import (
     ModeCoefficients,
     _complex_pairs,
     _read_json,
+    _result,
     _write_csv,
     basis_from_json,
     save_coefficients,
@@ -146,7 +147,7 @@ def seeded_coefficients(basis, seed: int, decay: float) -> ModeCoefficients:
     rng = np.random.default_rng(seed)
     k = np.arange(1, basis.mode_count + 1, dtype=float)
     phases = rng.uniform(0.0, 2.0 * np.pi, basis.mode_count)
-    return ModeCoefficients(k**-decay * np.exp(1j * phases), basis)
+    return _result(k**-decay * np.exp(1j * phases), basis, "seeded state")
 
 
 def _perturbed(c: ModeCoefficients, eps: float, seed: int) -> ModeCoefficients:
@@ -155,7 +156,7 @@ def _perturbed(c: ModeCoefficients, eps: float, seed: int) -> ModeCoefficients:
         return c
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, c.values.size)
-    return ModeCoefficients(c.values + eps * np.abs(c.values) * np.exp(1j * phases), c.basis)
+    return _result(c.values + eps * np.abs(c.values) * np.exp(1j * phases), c.basis, "perturbed data")
 
 
 def _initial_state(cfg: ExperimentConfig, basis, default_decay: float) -> ModeCoefficients:
@@ -171,7 +172,7 @@ def _relative(err, ref) -> np.ndarray:
 
 
 def _rel_err(a: ModeCoefficients, b: ModeCoefficients, order: int) -> float:
-    diff = ModeCoefficients(a.values - b.values, a.basis)
+    diff = _result(a.values - b.values, a.basis, "error")
     return float(_relative(sobolev_norm(diff, order), sobolev_norm(b, order)))
 
 
@@ -287,15 +288,15 @@ def _run_sweep(cfg, out, report, basis, _, mu):
     # one data draw and one noise draw, shared by every sweep point, so the
     # error column isolates the dependence on Re r
     delta = _perturbed(mu, cfg.noise, cfg.seed + 1).values - mu.values
-    noise_h2 = sobolev_norm(ModeCoefficients(delta, basis), 2)
-    mu_used = ModeCoefficients(mu.values + delta, basis)
+    noise_h2 = sobolev_norm(_result(delta, basis, "noise"), 2)
+    mu_used = _result(mu.values + delta, basis, "perturbed data")
     r_re = sorted(cfg.sweep_re.tolist())
     min_abs, errs_h, errs_h1, amps, bounds = [], [], [], [], []
     for re in r_re:
         params = AveragingParams(complex(re, cfg.r.imag), cfg.T)
         # both inversions reuse the factors params keeps; delta / z would move the error bits
-        diff = ModeCoefficients(recover_initial(mu_used, params).values
-                                - recover_initial(mu, params).values, basis)
+        diff = _result(recover_initial(mu_used, params).values
+                       - recover_initial(mu, params).values, basis, "error")
         err_h1 = sobolev_norm(diff, 1)
         min_abs.append(zeta_factors(basis, params).min_abs)
         errs_h.append(sobolev_norm(diff, 0))

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericError, _array, _count, _positive, _vector
+from .errors import InvalidArgumentError, _array, _count, _positive, _vector
 from .spectral import ModeCoefficients, SpectralBasis, _norm_weights, _weighted_norm, _write_csv, basis_to_json
+from .spectral import _require_finite, _trusted
 
 # beyond this phase magnitude, fold mod 2*pi before cos and sin: for speed
 # (glibc reduces large arguments slowly), not accuracy: a direct exp is within
@@ -43,8 +44,8 @@ class Trajectory:
     """Ascending sample times; row j of the read-only complex (len(times), N)
     array ``states`` holds the coefficients of u(times[j]) on ``basis``.
 
-    Built by hand, it checks its times and states; the package's producers
-    check each block of rows as they fill it instead (_trusted_trajectory)."""
+    Built by hand, it checks its times and states (InvalidArgumentError); the
+    package's producers check each block of rows as they fill it (NumericError)."""
 
     times: np.ndarray
     states: np.ndarray
@@ -91,14 +92,6 @@ def _map_blocks(fn, blocks, n: int) -> list:
 
     with ThreadPoolExecutor(workers) as pool:
         return list(pool.map(run, blocks))
-
-
-def _require_finite(states: np.ndarray, times: np.ndarray) -> None:
-    """Raise NumericError naming the first of ``times`` whose row of
-    ``states`` (one row per time) overflowed."""
-    if not np.isfinite(states.view(float)).all():  # one scan of both parts
-        t = times[~np.isfinite(states).all(axis=-1)][0]
-        raise NumericError(f"trajectory overflows: the state at t = {t:.17g} is not finite")
 
 
 def _fold_ends(phase: np.ndarray, t: np.ndarray) -> None:
@@ -162,24 +155,14 @@ def _trajectory(values: np.ndarray, basis: SpectralBasis, times: np.ndarray) -> 
     Trajectory's checks of times and states are not run a second time."""
     lam, index = basis._distinct
     states = _evolve(values, lam, times, index)
-    return _trusted_trajectory(times, states, basis)
-
-
-def _trusted_trajectory(times: np.ndarray, states: np.ndarray, basis: SpectralBasis) -> Trajectory:
-    """Trajectory(times, states, basis) for checked times and finite states of
-    the right shape that no one else holds, without checking them again."""
-    traj = object.__new__(Trajectory)
-    states.setflags(write=False)
-    for name, value in (("times", times), ("states", states), ("basis", basis)):
-        object.__setattr__(traj, name, value)
-    return traj
+    return _trusted(Trajectory, times=times, states=states, basis=basis)
 
 
 def propagate(xi: ModeCoefficients, t: float) -> ModeCoefficients:
     """Multiply mode k by exp(-i lambda_k t); modulus is preserved per mode."""
     t = _positive(t, "time", -math.inf)  # any finite time
     lam, index = xi.basis._distinct
-    return ModeCoefficients(_evolve(xi.values, lam, np.array([t]), index)[0], xi.basis)
+    return _trusted(ModeCoefficients, values=_evolve(xi.values, lam, np.array([t]), index)[0], basis=xi.basis)
 
 
 def sample_trajectory(xi: ModeCoefficients, T: float, steps: int) -> Trajectory:

@@ -25,13 +25,8 @@ import numpy as np
 
 from .averaging import AveragingParams
 from .errors import InvalidArgumentError, NumericError, _count, _positive, _vector
-from .spectral import (
-    DIRICHLET,
-    ModeCoefficients,
-    project_from_grid,
-    synthesize_on_grid,
-    uniform_grid,
-)
+from .spectral import DIRICHLET, ModeCoefficients, project_from_grid, synthesize_on_grid, uniform_grid
+from .spectral import _require_finite, _trusted
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +49,8 @@ class FdConfig:
 
 @dataclass(frozen=True, eq=False)
 class GridState:
-    """Interior samples; the boundary values are identically zero."""
+    """Interior samples; the boundary values are identically zero.  Built by
+    hand, a read-only copy of finite values (else InvalidArgumentError)."""
 
     values: np.ndarray
 
@@ -88,8 +84,6 @@ def _cn_stepper(cfg: FdConfig):
         out, info = zgttrs(*lu, _rhs_apply(u, c))
         if info != 0:
             raise NumericError(f"tridiagonal solve failed: LAPACK info {info}")
-        if not np.isfinite(out).all():
-            raise NumericError("tridiagonal solve produced non-finite values")
         return out
 
     return step
@@ -104,7 +98,9 @@ def _interior(state: GridState, cfg: FdConfig) -> np.ndarray:
 
 def cn_step(state: GridState, cfg: FdConfig) -> GridState:
     """One implicit-midpoint step of du/dt = i A_h u; unitary in discrete l2."""
-    return GridState(_cn_stepper(cfg)(_interior(state, cfg)))
+    out = _cn_stepper(cfg)(_interior(state, cfg))
+    _require_finite(out, None, "CN step", "grid point")
+    return _trusted(GridState, values=out)
 
 
 # the most steps a run may take, refused before the first: it bounds the run
@@ -128,10 +124,13 @@ def oracle_time_average(xi_grid: GridState, params: AveragingParams, cfg: FdConf
     w = cfg.dt / 3.0  # Simpson: w at both ends, 4w on odd steps, 2w on even ones
     step = _cn_stepper(cfg)
     acc = w * u.astype(complex)
-    for n in range(1, steps + 1):
-        u = step(u)
-        acc = acc + (w if n == steps else 4.0 * w if n % 2 else 2.0 * w) * np.exp(params.r * (n * cfg.dt)) * u
-    return GridState(acc)
+    # inf and NaN last through the solves (finite pivots) and sums: checked once, after the last step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, steps + 1):
+            u = step(u)
+            acc = acc + (w if n == steps else 4.0 * w if n % 2 else 2.0 * w) * np.exp(params.r * (n * cfg.dt)) * u
+    _require_finite(acc, None, "oracle time average", "grid point")
+    return _trusted(GridState, values=acc)
 
 
 def oracle_mu_coeffs(
@@ -156,7 +155,7 @@ def oracle_mu_coeffs(
         )
     full = uniform_grid(cfg.L, cfg.interior_points + 2)
     samples = synthesize_on_grid(xi, full)
-    averaged = oracle_time_average(GridState(samples[1:-1]), params, cfg)
+    averaged = oracle_time_average(_trusted(GridState, values=samples[1:-1]), params, cfg)
     padded = np.zeros(cfg.interior_points + 2, dtype=complex)
     padded[1:-1] = averaged.values
     return project_from_grid(padded, basis, full)

@@ -19,8 +19,9 @@ import numpy as np
 
 from .averaging import AveragingParams, _cexpm1, _factors
 from .errors import DegenerateModeError, IllPosedError
-from .evolve import Trajectory, _check_times, _require_finite, _trajectory, _trusted_trajectory
+from .evolve import Trajectory, _check_times, _trajectory
 from .spectral import ModeCoefficients, SpectralBasis, _floor_shift, _write_csv, make_custom_basis
+from .spectral import _require_finite, _result, _trusted
 
 _TINY = np.finfo(float).tiny  # the smallest normal double
 _LOG_MAX = math.log(np.finfo(float).max)  # exp(x) overflows exactly where x > _LOG_MAX
@@ -41,7 +42,7 @@ def recover_initial(
             "Re r = 0: inversion is ill-posed (factors can vanish and the "
             "stability constant diverges); recover_initial(..., allow_ill_posed=True) forces it"
         )
-    return ModeCoefficients(mu.values / f.values, mu.basis)
+    return _result(mu.values / f.values, mu.basis, "recovered state")
 
 
 def reconstruct_solution(mu: ModeCoefficients, params: AveragingParams, times) -> Trajectory:
@@ -65,10 +66,10 @@ def recover_via_shift(mu: ModeCoefficients, params: AveragingParams) -> ModeCoef
     q = _floor_shift(mu.basis.lambdas[0])
     shifted_basis = make_custom_basis(mu.basis.lambdas + q, mu.basis.domain_length, 0.0)
     xi_bar = recover_initial(
-        ModeCoefficients(mu.values, shifted_basis),
+        _trusted(ModeCoefficients, values=mu.values, basis=shifted_basis),
         AveragingParams(params.r + 1j * q, params.T),
     )
-    return ModeCoefficients(xi_bar.values, mu.basis)
+    return _trusted(ModeCoefficients, values=xi_bar.values, basis=mu.basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +167,7 @@ def potential_shift_solution(mu: ModeCoefficients, params: AveragingParams, time
     with np.errstate(over="ignore", invalid="ignore"):
         states = np.exp(params.r * u.times)[:, None] * u.states
     _require_finite(states, u.times)  # NumericError names the first overflowing time
-    return _trusted_trajectory(u.times, states, mu.basis)
+    return _trusted(Trajectory, times=u.times, states=states, basis=mu.basis)
 
 
 def report_to_csv(report: ConditioningReport, path) -> None:

@@ -166,7 +166,8 @@ def make_custom_basis(
 
 @dataclass(frozen=True, eq=False)
 class ModeCoefficients:
-    """Complex expansion coefficients attached to a basis."""
+    """Complex expansion coefficients attached to a basis; built by hand, a
+    read-only copy of finite values (else InvalidArgumentError)."""
 
     values: np.ndarray
     basis: SpectralBasis
@@ -174,6 +175,33 @@ class ModeCoefficients:
     def __post_init__(self):
         v = _vector(self.values, complex, "coefficients", self.basis.mode_count)
         object.__setattr__(self, "values", v)
+
+
+def _require_finite(values, labels=None, stage="trajectory", unit="the state at t =") -> None:
+    """The one rule for computed results: NumericError at the first row of a
+    2-d ``values``, or value of a 1-d one, that is not finite, naming ``stage``
+    and the row as ``unit`` and labels[i], or the 1-based i + 1 if no labels."""
+    if not np.isfinite(values.view(float)).all():  # one scan of both parts
+        i = int(np.argmin(np.isfinite(values).reshape(len(values), -1).all(axis=-1)))  # the first False
+        label = i + 1 if labels is None else labels[i]
+        raise NumericError(f"{stage} overflows: {unit} {label:.17g} is not finite")
+
+
+def _trusted(cls, **fields):
+    """cls(**fields) from checked arrays that the package made and no caller
+    can write: each is marked read-only, not copied or checked again."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _result(values: np.ndarray, basis: SpectralBasis, stage: str) -> ModeCoefficients:
+    """The ModeCoefficients the package computed in ``stage``, once _require_finite passes them."""
+    _require_finite(values, None, stage, "mode")
+    return _trusted(ModeCoefficients, values=values, basis=basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,7 +355,7 @@ def project_from_grid(samples, basis: SpectralBasis, grid: SpatialGrid) -> ModeC
     y = _vector(samples, complex, "samples", grid.point_count)
     V = _mode_matrix(basis, grid.points)
     vals = _simpson(y[:, None] * np.conj(V), grid.points)
-    return ModeCoefficients(vals, basis)
+    return _result(vals, basis, "grid projection")
 
 
 # --- JSON: a basis is {"kind", "L", "N", "cA"}, plus "lambdas" for a custom

@@ -230,6 +230,19 @@ class TestExitCodes:
         assert diag["error"] == "numeric-error"
         assert "overflows" in diag["message"]
 
+    # exp(800) overflows, so every factor is NaN; 1e308 / |zeta_1| overflows
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the factor kernel's own warnings
+    @pytest.mark.parametrize("argv, stage", [
+        (["average", "--r-re", "800"], "time average"),
+        (["recover", "--r-re", "800"], "recovered state"),
+        (["roundtrip", "--r-re", "800"], "time average"),
+        (["recover", "--noise", "1e308"], "recovered state"),
+    ], ids=["average", "recover", "roundtrip", "recover-noise"])
+    def test_overflowing_result_exits_four(self, tmp_path, capsys, argv, stage):
+        assert main([*argv, "--N", "8", "--out", str(tmp_path / "x")]) == 4
+        diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert diag == {"error": "numeric-error", "message": f"{stage} overflows: mode 1 is not finite"}
+
     def test_unknown_flag_exits_one(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["forward", "--frobnicate"])

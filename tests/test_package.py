@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -29,3 +30,27 @@ def test_readme_quick_start_runs():
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "(9, 64)"
+
+
+def test_results_are_not_built_through_the_input_rule():
+    # ModeCoefficients, GridState and Trajectory apply the input rule
+    # (InvalidArgumentError); the package builds what it computes through
+    # spectral._trusted and _result (NumericError) and calls the constructors
+    # only where outside input enters
+    calls = []
+    for path in sorted(Path(schrodavg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                child.parent = node
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) in ("ModeCoefficients", "GridState", "Trajectory"):
+                where = node
+                while not isinstance(where, (ast.FunctionDef, ast.Module)):
+                    where = where.parent
+                calls.append((path.stem, getattr(where, "name", None), ast.unparse(node)))
+    assert sorted(calls) == [
+        ("cli", "_initial_state", "ModeCoefficients(cfg.coeffs, basis)"),
+        ("spectral", "load_coefficients", "ModeCoefficients(_complex_pairs(obj.get('coeffs'), 'coeffs'), basis)"),
+    ]
