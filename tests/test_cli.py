@@ -391,27 +391,79 @@ class TestDeterminism:
 
 
 class TestImportCost:
-    def test_scipy_loads_only_for_the_oracle(self):
-        # scipy.integrate and scipy.linalg cost most of a command's start-up;
-        # only the oracle needs scipy, and it loads scipy.linalg on first use
+    def test_scipy_loads_only_for_the_oracle(self, tmp_path):
+        # scipy.integrate and the scipy.linalg package cost most of a command's
+        # start-up; only the oracle needs scipy, and it loads its LAPACK module
+        # alone.  The pytest process already holds scipy.linalg (conftest
+        # imports scipy.integrate), so the fresh load is seen only in a fresh
+        # interpreter
         code = (
             "import json, sys\n"
             "import schrodavg.cli\n"
-            "names = ('scipy.integrate', 'scipy.linalg')\n"
-            "before = [m for m in names if m in sys.modules]\n"
-            "from schrodavg import AveragingParams, FdConfig, ModeCoefficients\n"
-            "from schrodavg import make_dirichlet_basis, oracle_mu_coeffs\n"
-            "b = make_dirichlet_basis(1.0, 2)\n"
-            "oracle_mu_coeffs(ModeCoefficients([1.0, 0.5], b), AveragingParams(1.0, 1.0),\n"
-            "                 FdConfig(16, 0.25))\n"
+            "before = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "schrodavg.cli.main(['oracle-check', '--N', '4096', '--seed', '7', '--out', sys.argv[1]])\n"
+            "names = ('scipy.linalg._flapack', 'scipy.linalg', 'scipy.integrate')\n"
             "print(json.dumps([before, [m for m in names if m in sys.modules]]))\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=_env_with_src())
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                              text=True, env=_env_with_src())
         assert proc.returncode == 0, proc.stderr
         before, after = json.loads(proc.stdout)
         assert before == []
-        assert "scipy.linalg" in after
+        assert after == ["scipy.linalg._flapack"]
+        digest = hashlib.sha256((tmp_path / "errors.csv").read_bytes()).hexdigest()
+        assert digest == GOLDEN_SHA256[("oracle-check", "errors.csv")]
+
+    def test_either_load_order_shares_one_lapack_module(self):
+        # the oracle's LAPACK module and scipy.linalg's are one module, whichever
+        # loads first, so both hold the same routines and the oracle's bits
+        # do not depend on what else the process imported
+        oracle_first = (
+            "import hashlib, json, sys\n"
+            "import numpy as np\n"
+            "from schrodavg import AveragingParams, FdConfig, GridState, oracle_time_average\n"
+            "from schrodavg.fd_oracle import _lapack\n"
+            "args = (GridState(np.sin(np.arange(1.0, 65.0) / 8)), AveragingParams(0.7 - 0.3j, 0.2),\n"
+            "        FdConfig(64, 1e-3))\n"
+            "first = oracle_time_average(*args).values\n"
+            "alone = 'scipy.linalg' not in sys.modules\n"
+            "import scipy.linalg.lapack\n"
+            "ab = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0, 0.0]])\n"
+            "solved = scipy.linalg.solve_banded((1, 1), ab, np.array([5.0, 6.0, 5.0]))\n"
+            "print(json.dumps({'alone': alone,\n"
+            "                  'same zgttrs': scipy.linalg.lapack.zgttrs is _lapack().zgttrs,\n"
+            "                  'solve_banded': bool(np.allclose(solved, 1.0)),\n"
+            "                  'same bits': bool(np.array_equal(oracle_time_average(*args).values, first)),\n"
+            "                  'digest': hashlib.sha256(first.tobytes()).hexdigest()}))\n"
+        )
+        linalg_first = (
+            "import hashlib, json, sys\n"
+            "import numpy as np\n"
+            "import importlib.machinery\n"
+            "import scipy.linalg.lapack\n"
+            "from schrodavg import AveragingParams, FdConfig, GridState, oracle_time_average\n"
+            "from schrodavg.fd_oracle import _lapack\n"
+            "looked = []\n"  # what the helper searches for once scipy.linalg is loaded
+            "find_spec = importlib.machinery.PathFinder.find_spec\n"
+            "importlib.machinery.PathFinder.find_spec = staticmethod(\n"
+            "    lambda name, *rest: looked.append(name) or find_spec(name, *rest))\n"
+            "first = oracle_time_average(GridState(np.sin(np.arange(1.0, 65.0) / 8)),\n"
+            "                            AveragingParams(0.7 - 0.3j, 0.2), FdConfig(64, 1e-3)).values\n"
+            "print(json.dumps({'reused': _lapack() is sys.modules['scipy.linalg._flapack']\n"
+            "                            and 'scipy.linalg._flapack' not in looked,\n"
+            "                  'same zgttrs': scipy.linalg.lapack.zgttrs is _lapack().zgttrs,\n"
+            "                  'digest': hashlib.sha256(first.tobytes()).hexdigest()}))\n"
+        )
+        got = []
+        for code in (oracle_first, linalg_first):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env=_env_with_src())
+            assert proc.returncode == 0, proc.stderr
+            got.append(json.loads(proc.stdout))
+        digests = [checks.pop("digest") for checks in got]
+        assert got == [dict.fromkeys(["alone", "same zgttrs", "solve_banded", "same bits"], True),
+                       dict.fromkeys(["reused", "same zgttrs"], True)]
+        assert digests[0] == digests[1]
 
     def test_thread_pool_loads_only_for_large_rows(self):
         # concurrent.futures costs start-up; only a trajectory whose rows are
@@ -433,9 +485,11 @@ class TestImportCost:
 
 # sha256 of every output file except report.json (it holds timings) for
 # `<command> --N 4096 --seed 7`, recorded before scipy was taken off the
-# import path and the oracle's matrix was factored once; both changes, and
-# the move of every CSV writer onto one block writer, must leave every byte
-# as it was
+# import path and the oracle's matrix was factored once; both changes, the
+# move of every CSV writer onto one block writer, and the oracle's LAPACK
+# routines loaded without the scipy.linalg package, must leave every byte
+# as it was (TestImportCost checks the oracle-check digest in a fresh
+# interpreter, where the oracle loads its LAPACK module itself)
 GOLDEN_SHA256 = {
     ("forward", "trajectory.csv"): "04e5ab18e7224ddbbae2e069f85c2387db70c8a95b5f618c93391618bc4378f2",
     ("forward", "trajectory.meta.json"): "76c529dff06ef6b5aab2a70ecb45b660ef158dbf4a4d91c0d15a4e1dfa095bb4",
