@@ -81,7 +81,7 @@ def _cexpm1(z: np.ndarray) -> np.ndarray:
 def _zeta_values(r: complex, T: float, lam) -> np.ndarray:
     s = r - 1j * np.asarray(lam, dtype=float)
     at_zero = s == 0
-    with np.errstate(invalid="ignore"):
+    with np.errstate(all="ignore"):  # a NaN factor is named by the first result that uses it
         return np.where(at_zero, complex(T), _cexpm1(s * T) / np.where(at_zero, 1.0, s))
 
 
@@ -148,7 +148,7 @@ def zeta_to_csv(factors: ZetaFactors, path) -> None:
     last bit.  It reads inf where |z| overflows although both parts are finite.
     """
     z = factors.values
-    with np.errstate(over="ignore"):  # numpy's scalar abs does not warn there either
+    with np.errstate(all="ignore"):  # numpy's scalar abs does not warn there either
         abs_z = np.hypot(z.real, z.imag)
     _write_csv(path, "k,lambda,zeta_re,zeta_im,abs_zeta", [
         range(1, z.size + 1), factors.basis.lambdas, z.real, z.imag, abs_z,

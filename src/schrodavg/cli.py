@@ -36,6 +36,7 @@ from .evolve import sample_trajectory, trajectory_sup_norm, trajectory_to_csv
 from .fd_oracle import FdConfig, oracle_mu_coeffs
 from .recover import conditioning_report, recover_initial, report_summary, report_to_csv, stability_bound
 from .spectral import (
+    _BASIS_KEYS,
     CUSTOM,
     DIRICHLET,
     ModeCoefficients,
@@ -49,11 +50,37 @@ from .spectral import (
 )
 
 
-def _section(x, name: str) -> dict:
-    """A config object; null or an empty value counts as absent ({})."""
+def _known_keys(obj: dict, prefix: str, keys) -> None:
+    """Refuse the first key of ``obj`` not among ``keys``, naming its dotted
+    path, ``prefix`` + key, and the known path it resembles (difflib)."""
+    for key in obj:
+        if key not in keys:
+            import difflib  # on refusal only: 1.7 ms of every run's start-up otherwise
+
+            known = {f"{prefix}{k}".lower(): f"{prefix}{k}" for k in keys}
+            near = difflib.get_close_matches(f"{prefix}{key}".lower(), known, n=1)
+            hint = f" (did you mean {known[near[0]]}?)" if near else ""
+            raise InvalidArgumentError(f"unknown config key {prefix}{key}{hint}")
+
+
+def _section(x, name: str, keys=None) -> dict:
+    """A config object; null or an empty value counts as absent ({}).  With
+    ``keys``, its keys must be among them."""
     if not isinstance(x or {}, dict):
         raise InvalidArgumentError(f"{name} must be a JSON object, got {x!r}")
+    if keys is not None:
+        _known_keys(x or {}, name + ".", keys)
     return x or {}
+
+
+def _rows_only(obj: dict, paths, prefix: str = "") -> None:
+    """Refuse a key of the config object ``obj``, at any depth, that is not on
+    one of the rows' ``paths``; a row's own value, the basis object too, is
+    left to the row's rule."""
+    _known_keys(obj, prefix, {p[len(prefix):].split(".")[0] for p in paths if p.startswith(prefix)})
+    for key, value in obj.items():
+        if prefix + key not in paths:  # an object that holds rows, as oracle
+            _rows_only(_section(value, prefix + key), paths, prefix + key + ".")
 
 
 def _path(x, name: str) -> Path:
@@ -89,7 +116,7 @@ class ExperimentConfig:
     noise: float = _setting(0.0, "noise", _positive, "--noise", least=0.0, strict=False)
     # the object that basis_from_json decodes, whose kind and L default to a
     # Dirichlet basis on [0, 1]; None: {}
-    basis: dict | None = _setting(None, "basis", _section)
+    basis: dict | None = _setting(None, "basis", _section, keys=_BASIS_KEYS)
     # None: 2 for state draws, 3 for data draws; finite order-1 norms at every
     # truncation level need decay > 1
     decay: float | None = _setting(None, "decay", _positive, least=1.0)
@@ -123,6 +150,7 @@ def load_config(path=None, args=None) -> ExperimentConfig:
     build_parser) gives on top, gathered along the ExperimentConfig rows,
     whose rules then check them."""
     obj = {} if path is None else _section(_read_json(path, "config"), "config")
+    _rows_only(obj, {f.metadata["path"] for f in fields(ExperimentConfig)})
     values = {}
     for f in fields(ExperimentConfig):
         *parents, key = f.metadata["path"].split(".")
@@ -192,7 +220,10 @@ def run(cfg: ExperimentConfig, command: str) -> dict:
     N = 64 if N is None and obj["kind"] != CUSTOM else N  # custom: one per eigenvalue
     if command == "oracle-check" and obj["kind"] == DIRICHLET:  # oracle_mu_coeffs refuses other kinds
         N = min(cfg.oracle_modes, N)  # the grid compares the lowest modes only
-    basis = basis_from_json({**obj, "N": N})
+    try:
+        basis = basis_from_json({**obj, "N": N})
+    except MemoryError as exc:  # N passed its rule, but the basis's arrays do not fit
+        raise InvalidArgumentError(f"basis.N = {N} is too large to allocate: {exc}") from exc
     # forward does not average, and sweep averages at one Re r per point
     params = None if command in ("forward", "sweep") else AveragingParams(cfg.r, cfg.T)
     state = None if decay is None else _initial_state(cfg, basis, decay)
@@ -366,7 +397,8 @@ def _diagnostic(kind: str, exc: Exception) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report = run(load_config(args.config, args), args.command)
+        with np.errstate(all="ignore"):  # what is not finite is named by one JSON line below
+            report = run(load_config(args.config, args), args.command)
     except _FAILURES as exc:
         kind, code = next((kind, code) for cls, kind, code in _EXITS if isinstance(exc, cls))
         _diagnostic(kind, exc)

@@ -2,6 +2,7 @@
 every entry point applies to its counts, real and complex scalars, and vectors."""
 
 import cmath
+import itertools
 import math
 import numbers
 
@@ -55,13 +56,24 @@ def _count(n, name: str, least: int, most: float = 2**53) -> int:
     return int(n)
 
 
+def _holds_bool(x: list) -> bool:
+    """Whether the nested lists x hold True or False, one level at a time (a
+    level that mixes lists with other values is ragged, which numpy refuses)."""
+    kinds = set(map(type, x))
+    while kinds == {list}:
+        x = list(itertools.chain.from_iterable(x))
+        kinds = set(map(type, x))
+    return bool in kinds
+
+
 def _array(x, dtype, name: str, copy: bool = True) -> np.ndarray:
     """x as an array of dtype, a copy unless ``copy`` is False; values numpy
     cannot read as dtype (None in a list, "abc", 1j as a float, ragged
     lists, integers beyond the doubles) are refused, and so are strings and
-    booleans, which numpy would read as numbers."""
+    booleans, which numpy would read as numbers: a list, as JSON gives, is
+    scanned for booleans, which numpy reads as integers beside numbers."""
     try:
-        if np.asarray(x).dtype.kind in "SUb":
+        if isinstance(x, list) and _holds_bool(x) or np.asarray(x).dtype.kind in "SUb":
             raise TypeError("strings and booleans are not numbers")
         return (np.array if copy else np.asarray)(x, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:

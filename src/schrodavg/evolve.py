@@ -74,8 +74,8 @@ def _map_blocks(fn, blocks, n: int) -> list:
     """[fn(k) for k in blocks], spread over threads when n, the values of a
     row or the modes of a basis, is at least _THREAD_MIN_VALUES and the
     process may run on more than one CPU (numpy drops the GIL in its loops).
-    Each block's result is the serial one, computed under the caller's numpy
-    error handling, and the first block to raise raises here."""
+    Each block's result is the serial one (fn opens its own np.errstate, as a
+    thread starts at numpy's default), and the first block to raise raises here."""
     workers = 1
     if n >= _THREAD_MIN_VALUES and hasattr(os, "sched_getaffinity"):
         workers = min(len(os.sched_getaffinity(0)), len(blocks), _MAX_THREADS)
@@ -83,15 +83,8 @@ def _map_blocks(fn, blocks, n: int) -> list:
         return [fn(k) for k in blocks]
     from concurrent.futures import ThreadPoolExecutor
 
-    # a new thread starts with numpy's default error handling, not the caller's
-    err, call = np.geterr(), np.geterrcall()
-
-    def run(k):
-        with np.errstate(call=call, **err):
-            return fn(k)
-
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(run, blocks))
+        return list(pool.map(fn, blocks))
 
 
 def _fold_ends(phase: np.ndarray, t: np.ndarray) -> None:
@@ -128,7 +121,7 @@ def _evolve(values: np.ndarray, lam: np.ndarray, times: np.ndarray, index=None) 
 
     def fill(k):
         t = times[k, None]
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        with np.errstate(all="ignore"):  # an overflow is named below
             phase = lam * t
             if lam_max * max(-float(t.flat[0]), float(t.flat[-1])) > _PHASE_REDUCE:
                 _fold_ends(phase, t)

@@ -113,7 +113,7 @@ def _interior(state: GridState, cfg: FdConfig) -> np.ndarray:
 
 def cn_step(state: GridState, cfg: FdConfig) -> GridState:
     """One implicit-midpoint step of du/dt = i A_h u; unitary in discrete l2."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are named just below
+    with np.errstate(all="ignore"):  # inf and NaN are named just below
         out = _cn_stepper(cfg)(_interior(state, cfg))
     _require_finite(out, None, "CN step", "grid point")
     return _trusted(GridState, values=out)
@@ -141,7 +141,7 @@ def oracle_time_average(xi_grid: GridState, params: AveragingParams, cfg: FdConf
     step = _cn_stepper(cfg)
     acc = w * u.astype(complex)
     # inf and NaN last through the solves (finite pivots) and sums: checked once, after the last step
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         for n in range(1, steps + 1):
             u = step(u)
             acc = acc + (w if n == steps else 4.0 * w if n % 2 else 2.0 * w) * np.exp(params.r * (n * cfg.dt)) * u

@@ -127,7 +127,7 @@ def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> Condit
     f = _factors(basis, params)
     denom_re = _abs_expm1(params.r.real * params.T)
     # numpy's scalar abs and power: Python's bits, but inf where Python's raise
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         # |exp(rT) - 1| >= |exp(Re r T) - 1|, so it overflows whenever that does
         denom_full = math.inf if denom_re == math.inf else abs(_cexpm1(np.complex128(params.r * params.T)))
         abs_r = abs(np.complex128(params.r))
@@ -164,7 +164,7 @@ def potential_shift_solution(mu: ModeCoefficients, params: AveragingParams, time
     exp(r t).
     """
     u = reconstruct_solution(mu, params, times)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         states = np.exp(params.r * u.times)[:, None] * u.states
     _require_finite(states, u.times)  # NumericError names the first overflowing time
     return _trusted(Trajectory, times=u.times, states=states, basis=mu.basis)

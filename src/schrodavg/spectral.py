@@ -237,7 +237,7 @@ def _norm_weights(basis: SpectralBasis, order: int) -> np.ndarray | None:
     if w is not None:
         return w
     # an overflowing weight stays inf, and _weighted_norm raises NumericError
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         w = basis.lambdas + basis.c_A if order == 1 else basis.lambdas**2 + basis.c_A
     bad = np.flatnonzero(w <= 0)  # nothing is kept then, so every call fails
     if bad.size and order == 2 and basis.c_A >= 0:  # lambda^2 underflowed, at c_A = 0
@@ -272,7 +272,7 @@ def _weighted_norm(values: np.ndarray, w: np.ndarray | None, order: int) -> floa
 
     # a basis's weights are lam + c_A or lam^2 + c_A of nondecreasing lam: largest at an end
     lo = _SQRT_TINY if w is None else _SQRT_TINY * math.sqrt(max(1.0, w[0], w[-1]))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         norm = norm_of(values)
         top = float(norm.max())
         if lo <= top < math.inf:
@@ -370,6 +370,10 @@ def _complex_pairs(pairs, name: str):
     if v.ndim not in (1, 2) or v.shape[-1] != 2:
         raise InvalidArgumentError(f"{name} must be [re, im] or a list of such pairs, got shape {v.shape}")
     return v.view(complex)[..., 0][()]
+
+
+# the keys of a basis object, all that basis_from_json reads
+_BASIS_KEYS = ("kind", "L", "N", "cA", "lambdas")
 
 
 def basis_to_json(basis: SpectralBasis, **fields) -> dict:

@@ -15,6 +15,7 @@ from schrodavg import (
     DegenerateModeError,
     InvalidArgumentError,
     ModeCoefficients,
+    NumericError,
     apply_time_average,
     conditioning_report,
     forward_smoothing_constant,
@@ -296,15 +297,18 @@ class TestDistinctFactors:
         chunks = -(-b._distinct[0].size // (_ELIDE_VALUES - 1))
         assert made == [(min(cpus, 4, chunks),)]
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_caller_error_handling_on_threads(self, cpus, executors):
-        # exp(Re(r) T) = exp(1000) overflows: the caller's over="raise" holds
-        # on the chunks' threads as it does inline
+    def test_overflow_is_named_whatever_the_caller_error_handling(self, cpus, executors):
+        # exp(Re(r) T) = exp(1000) overflows: the kernel ignores numpy's errors
+        # inline and on the chunks' threads alike, and the result rule names
+        # the NaN factors, under the caller's all="raise" too
         made = executors(cpus)
         b = make_dirichlet_basis(1.0, _THREAD_MIN_VALUES)
         xi = ModeCoefficients(np.ones(b.mode_count), b)
-        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        with np.errstate(all="raise"), pytest.raises(NumericError) as info:
             apply_time_average(xi, AveragingParams(1000.0, 1.0))
+        assert str(info.value) == "time average overflows: mode 1 is not finite"
         assert len(made) == (1 if cpus > 1 else 0)
 
 

@@ -1,6 +1,7 @@
 """Command-line runner: pipelines, exit codes, file artifacts, determinism."""
 
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -15,9 +16,10 @@ import pytest
 import schrodavg
 from schrodavg import (
     AveragingParams, InvalidArgumentError, ModeCoefficients, apply_time_average, load_coefficients,
-    make_dirichlet_basis,
+    make_custom_basis, make_dirichlet_basis,
 )
 from schrodavg.cli import COMMANDS, ExperimentConfig, build_parser, load_config, main, run
+from schrodavg.spectral import _BASIS_KEYS, basis_from_json, basis_to_json
 
 T_FULL_REVOLUTION = 2.0 / np.pi
 
@@ -149,7 +151,6 @@ class TestExitCodes:
         assert rows[0] == ["1", "0", "1", "1", "1"]
         assert all(row[3:] == ["inf", "inf"] for row in rows[1:])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the factors overflow
     def test_overflowing_weight_writes_strict_json(self, tmp_path):
         # exp(800) overflows, so min |zeta| is NaN; report.json must still be
         # standard JSON, which has no NaN or Infinity token
@@ -231,7 +232,6 @@ class TestExitCodes:
         assert "overflows" in diag["message"]
 
     # exp(800) overflows, so every factor is NaN; 1e308 / |zeta_1| overflows
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the factor kernel's own warnings
     @pytest.mark.parametrize("argv, stage", [
         (["average", "--r-re", "800"], "time average"),
         (["recover", "--r-re", "800"], "recovered state"),
@@ -735,10 +735,12 @@ class TestConfigRules:
         args = build_parser().parse_args(["forward", "--r-im", "-2", "--r-re", "3"])
         assert load_config(None, args).r == complex(3.0, -2.0)
 
-    # a JSON true or false is not a number, alone or as a vector
+    # a JSON true or false is not a number: alone, as a vector, or in a list
+    # beside numbers, where numpy would read it as an integer
     BOOLEANS = [("basis.N", True), ("T", True), ("seed", True), ("noise", False), ("decay", True),
                 ("oracle.M", True), ("trajectory_steps", True), ("r", [True, False]),
-                ("coeffs", [[True, False]]), ("sweep_r_re", [True])]
+                ("coeffs", [[True, False]]), ("sweep_r_re", [True]), ("r", [True, 0]),
+                ("coeffs", [[1.0, 0.0], [0.0, False]]), ("sweep_r_re", [0.5, True])]
 
     @pytest.mark.parametrize("path, value", BOOLEANS, ids=repr)
     def test_booleans_refused_from_the_file(self, tmp_path, capsys, path, value):
@@ -769,12 +771,54 @@ class TestConfigRules:
         assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
         _one_refusal(capsys, path)
 
+    def test_boolean_eigenvalue_refused_from_the_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"basis": {"kind": "custom", "lambdas": [1.0, True, 3.0]}}))
+        assert main(["conditioning", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+        _one_refusal(capsys, "lambdas")
+
     def test_count_too_large_to_allocate_exits_one(self, tmp_path, capsys):
         # 2^53 modes, 64 PiB of labels: malloc refuses it at once
         assert main(["forward", "--N", str(2**53), "--out", str(tmp_path / "x")]) == 1
+        _one_refusal(capsys, f"basis.N = {2**53} is too large to allocate:")
+        with pytest.raises(InvalidArgumentError, match=rf"^basis\.N = {2**53} "):
+            run(ExperimentConfig(basis={"N": 2**53}, out=tmp_path / "y"), "forward")
+
+    @pytest.mark.parametrize("config, message", [
+        ({"nosie": 1}, "nosie (did you mean noise?)"),
+        ({"oracle": {"m": 16}}, "oracle.m (did you mean oracle.M?)"),
+        ({"basis": {"n": 8}}, "basis.n (did you mean basis.N?)"),
+        ({"oracel": {"M": 16}}, "oracel (did you mean oracle?)"),
+        ({"basis": {"kind": "custom", "lambda": [1.0]}}, "basis.lambda (did you mean basis.lambdas?)"),
+        ({"zzz": 1}, "zzz"),
+    ], ids=repr)
+    def test_unknown_key_refused(self, tmp_path, capsys, config, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["conditioning", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1, err
-        assert json.loads(err[0])["error"] == "config-error"
+        assert [json.loads(line) for line in err] == [
+            {"error": "config-error", "message": f"unknown config key {message}"}]
+        assert not (tmp_path / "x").exists()
+
+    def test_unknown_basis_key_refused_when_built_by_hand(self, tmp_path):
+        with pytest.raises(InvalidArgumentError, match=r"^unknown config key basis\.n \(did you mean basis\.N\?\)$"):
+            ExperimentConfig(basis={"n": 8}, out=tmp_path / "x")
+
+    def test_basis_keys_are_the_ones_the_codec_reads(self):
+        # the keys the basis row accepts are read by basis_from_json, which
+        # reads no other, and written by basis_to_json
+        read = set(re.findall(r'obj\.get\("(\w+)"\)', inspect.getsource(basis_from_json)))
+        assert read == set(_BASIS_KEYS)
+        for b in (make_dirichlet_basis(1.0, 3), make_custom_basis([1.0, 2.0])):
+            assert ExperimentConfig(basis=basis_to_json(b)).basis == basis_to_json(b)
+
+    def test_readme_config_example_is_accepted(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("Config file (JSON; all keys optional):", 1)[1].split("```json\n", 1)[1]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(example.split("```", 1)[0])
+        assert load_config(cfg_path).oracle_M == 256
 
 
 class TestFileEdge:
@@ -844,20 +888,30 @@ class TestFileEdge:
         _, rows = read_csv(tmp_path / "x" / "zeta.csv")
         assert len(rows) == 3
 
-    # a traceback on any of these paths writes more than one stderr line
-    @pytest.mark.parametrize("command, config, out, flags", [
-        ("conditioning", b"\xff", "x", []),
-        ("conditioning", b"{}", "taken", []),
-        ("roundtrip", b'{"coeffs": [[true, false]], "basis": {"N": 1}}', "x", []),
-        ("sweep", b'{"sweep_r_re": [true]}', "x", []),
-        ("forward", b"{}", "x", ["--N", "100000000000000000000"]),
-        ("forward", b'{"trajectory_steps": 1e20}', "x", []),
-        ("oracle-check", b'{"oracle": {"M": 1e20}}', "x", []),
-        ("forward", b"{}", "x", ["--N", "9223372036854775808"]),
-        ("forward", b"{}", "x", ["--N", "9007199254740992"]),  # 64 PiB, which malloc refuses at once
+    # a traceback or a numpy warning on any of these paths writes more than one stderr line
+    @pytest.mark.parametrize("command, config, out, flags, code, kind", [
+        ("conditioning", b"\xff", "x", [], 1, "config-error"),
+        ("conditioning", b"{}", "taken", [], 1, "config-error"),
+        ("roundtrip", b'{"coeffs": [[true, false]], "basis": {"N": 1}}', "x", [], 1, "config-error"),
+        ("sweep", b'{"sweep_r_re": [true]}', "x", [], 1, "config-error"),
+        ("forward", b"{}", "x", ["--N", "100000000000000000000"], 1, "config-error"),
+        ("forward", b'{"trajectory_steps": 1e20}', "x", [], 1, "config-error"),
+        ("oracle-check", b'{"oracle": {"M": 1e20}}', "x", [], 1, "config-error"),
+        ("forward", b"{}", "x", ["--N", "9223372036854775808"], 1, "config-error"),
+        # 64 PiB, which malloc refuses at once
+        ("forward", b"{}", "x", ["--N", "9007199254740992"], 1, "config-error"),
+        ("roundtrip", b'{"nosie": 1}', "x", [], 1, "config-error"),
+        ("conditioning", b'{"basis": {"n": 8}, "oracle": {"m": 16}}', "x", [], 1, "config-error"),
+        ("conditioning", b'{"r": [true, 0]}', "x", [], 1, "config-error"),
+        # exp(800) overflows, so every factor is NaN; 1e308 / |zeta_1| overflows
+        ("average", b"{}", "x", ["--r-re", "800"], 4, "numeric-error"),
+        ("recover", b"{}", "x", ["--r-re", "800"], 4, "numeric-error"),
+        ("roundtrip", b"{}", "x", ["--r-re", "800"], 4, "numeric-error"),
+        ("recover", b"{}", "x", ["--noise", "1e308"], 4, "numeric-error"),
     ], ids=["non-utf8-config", "file-as-out", "boolean-coeffs", "boolean-sweep", "N-1e20", "steps-1e20",
-            "oracle-M-1e20", "N-2^63", "N-2^53"])
-    def test_module_failure_is_one_json_line(self, tmp_path, command, config, out, flags):
+            "oracle-M-1e20", "N-2^63", "N-2^53", "unknown-key", "unknown-nested-keys", "boolean-in-r",
+            "average-overflow", "recover-overflow", "roundtrip-overflow", "recover-noise-overflow"])
+    def test_module_failure_is_one_json_line(self, tmp_path, command, config, out, flags, code, kind):
         (tmp_path / "taken").write_text("")
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_bytes(config)
@@ -866,7 +920,7 @@ class TestFileEdge:
              "--out", str(tmp_path / out), *flags],
             capture_output=True, text=True, env=_env_with_src(),
         )
-        assert proc.returncode == 1
+        assert proc.returncode == code
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
-        assert json.loads(lines[0])["error"] == "config-error"
+        assert json.loads(lines[0])["error"] == kind

@@ -54,3 +54,22 @@ def test_results_are_not_built_through_the_input_rule():
         ("cli", "_initial_state", "ModeCoefficients(cfg.coeffs, basis)"),
         ("spectral", "load_coefficients", "ModeCoefficients(_complex_pairs(obj.get('coeffs'), 'coeffs'), basis)"),
     ]
+
+
+def test_one_numpy_error_policy():
+    # every np.errstate in the package ignores all four errors, around values
+    # the package names right after (NumericError) or documents (a report's
+    # inf, NaN or null), so no kernel, inline or on a worker thread, depends on
+    # the caller's numpy error handling, and none reads or sets it
+    policies, touched = [], []
+    for path in sorted(Path(schrodavg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == "errstate":
+                policies.append((path.stem, ast.unparse(node)))
+            name = getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
+            if name in ("geterr", "geterrcall", "seterr", "seterrcall"):
+                touched.append((path.stem, getattr(node, "lineno", None), name))
+    assert policies, "no np.errstate found: the scan reads nothing"
+    assert {call for _, call in policies} == {"np.errstate(all='ignore')"}, policies
+    assert not touched

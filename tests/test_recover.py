@@ -29,6 +29,7 @@ from schrodavg import (
     sobolev_norm,
     stability_bound,
     zeta_factor,
+    zeta_factors,
 )
 from schrodavg.averaging import _cexpm1
 from schrodavg.recover import _LOG_MAX, _TINY, _abs_expm1, _quotient, report_summary, report_to_csv
@@ -263,7 +264,6 @@ class TestConditioningReport:
         rep = conditioning_report(b, AveragingParams(2.0j, 1.0))
         assert report_summary(rep)["stability_bound"] is None
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the factors overflow too
     def test_overflowing_weight_gives_zero_bounds(self):
         # exp(Re r T) = exp(800) overflows a double; the bounds divide by it,
         # so they are 0, and the report must not raise
@@ -367,12 +367,29 @@ class TestStabilityBound:
             expected = float(ref)  # 0 or inf where the bound leaves the doubles
         assert stability_bound(params) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the factors still overflow there
     @pytest.mark.parametrize("r, T", EXTREME[:4])
     def test_report_does_not_raise_where_abs_r_overflows(self, r, T):
         params = AveragingParams(r, T)
         rep = conditioning_report(make_dirichlet_basis(1.0, 8), params)
         assert rep.stability_bound == stability_bound(params)
+
+    @pytest.mark.filterwarnings("error")
+    def test_report_at_huge_r_returns_without_a_warning(self):
+        # the factors overflow (expm1, exp) and so does their quotient
+        # (divide), inside the kernel's np.errstate: no warning leaves it
+        rep = conditioning_report(make_dirichlet_basis(1.0, 8), AveragingParams(1e308 + 1e308j, 1.0))
+        assert rep.well_posed and math.isnan(rep.min_abs_zeta)
+        assert report_summary(rep)["min_abs_zeta"] is None
+
+    # exp(800) overflows; Im(s) T overflows before the split; exp(710) overflows
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [
+        lambda: zeta_factors(make_dirichlet_basis(1.0, 8), AveragingParams(800.0, 1.0)).values,
+        lambda: zeta_factors(make_custom_basis([1.0, 1e308]), AveragingParams(1.0, 10.0)).values,
+        lambda: conditioning_report(make_custom_basis([1.0, 1e300]), AveragingParams(710.0, 1.0)).zeta,
+    ], ids=["zeta-r800", "zeta-lambda1e308", "report-r710"])
+    def test_nan_factors_come_without_a_warning(self, call):
+        assert np.isnan(call()).any()
 
     def test_bits_unchanged_in_the_normal_range(self):
         rng = np.random.default_rng(5)
