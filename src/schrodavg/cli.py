@@ -36,11 +36,11 @@ from .evolve import sample_trajectory, trajectory_sup_norm, trajectory_to_csv
 from .fd_oracle import FdConfig, oracle_mu_coeffs
 from .recover import conditioning_report, recover_initial, report_summary, report_to_csv, stability_bound
 from .spectral import (
-    _BASIS_KEYS,
     CUSTOM,
     DIRICHLET,
     ModeCoefficients,
     _complex_pairs,
+    _kind,
     _read_json,
     _result,
     _write_csv,
@@ -50,10 +50,20 @@ from .spectral import (
 )
 
 
-def _known_keys(obj: dict, prefix: str, keys) -> None:
-    """Refuse the first key of ``obj`` not among ``keys``, naming its dotted
-    path, ``prefix`` + key, and the known path it resembles (difflib)."""
-    for key in obj:
+def _section(x, name: str) -> dict:
+    """A config object; null or an empty value counts as absent ({})."""
+    if not isinstance(x or {}, dict):
+        raise InvalidArgumentError(f"{name} must be a JSON object, got {x!r}")
+    return x or {}
+
+
+def _gather(obj: dict, paths, prefix: str = "") -> dict:
+    """{path: value} of each of the rows' ``paths`` that the config object
+    ``obj`` sets.  A key at any depth on no path is refused, naming its dotted
+    path and the known path it resembles (difflib)."""
+    keys = {p[len(prefix):].split(".")[0] for p in paths if p.startswith(prefix)}
+    values = {}
+    for key, value in obj.items():
         if key not in keys:
             import difflib  # on refusal only: 1.7 ms of every run's start-up otherwise
 
@@ -61,26 +71,11 @@ def _known_keys(obj: dict, prefix: str, keys) -> None:
             near = difflib.get_close_matches(f"{prefix}{key}".lower(), known, n=1)
             hint = f" (did you mean {known[near[0]]}?)" if near else ""
             raise InvalidArgumentError(f"unknown config key {prefix}{key}{hint}")
-
-
-def _section(x, name: str, keys=None) -> dict:
-    """A config object; null or an empty value counts as absent ({}).  With
-    ``keys``, its keys must be among them."""
-    if not isinstance(x or {}, dict):
-        raise InvalidArgumentError(f"{name} must be a JSON object, got {x!r}")
-    if keys is not None:
-        _known_keys(x or {}, name + ".", keys)
-    return x or {}
-
-
-def _rows_only(obj: dict, paths, prefix: str = "") -> None:
-    """Refuse a key of the config object ``obj``, at any depth, that is not on
-    one of the rows' ``paths``; a row's own value, the basis object too, is
-    left to the row's rule."""
-    _known_keys(obj, prefix, {p[len(prefix):].split(".")[0] for p in paths if p.startswith(prefix)})
-    for key, value in obj.items():
-        if prefix + key not in paths:  # an object that holds rows, as oracle
-            _rows_only(_section(value, prefix + key), paths, prefix + key + ".")
+        if prefix + key in paths:
+            values[prefix + key] = value
+        else:  # a section that holds rows, as basis and oracle
+            values.update(_gather(_section(value, prefix + key), paths, prefix + key + "."))
+    return values
 
 
 def _path(x, name: str) -> Path:
@@ -91,8 +86,8 @@ def _path(x, name: str) -> Path:
 
 def _setting(default, path: str, rule, *flags: str, decode=None, **bounds):
     """One row of the config table: the field's default, its dotted path in
-    the JSON config, the rule (from errors, called with ``bounds`` and the
-    path as the name) that checks and converts its value, the flags that
+    the JSON config, the argument rule (called with ``bounds`` and the path
+    as the name) that checks and converts its value, the flags that
     override it, and the decoder of a value JSON writes as [re, im] pairs."""
     return field(default=default, metadata={
         "path": path, "rule": functools.partial(rule, **bounds), "flags": flags, "decode": decode})
@@ -109,19 +104,21 @@ class ExperimentConfig:
     out: Path = _setting(Path("out"), "out", _path, "--out")
     r: complex = _setting(complex(1.0, 0.0), "r", _complex, "--r-re", "--r-im", decode=_complex_pairs)
     T: float = _setting(1.0, "T", _positive, "--T")
-    # None: the basis object's N, else 64 (custom: one mode per eigenvalue)
+    # None: 64 (custom: one mode per eigenvalue)
     N: int | None = _setting(None, "basis.N", _count, "--N", least=1)
     # numpy's generators take no negative seed
     seed: int = _setting(1234, "seed", _count, "--seed", least=0, most=np.inf)
     noise: float = _setting(0.0, "noise", _positive, "--noise", least=0.0, strict=False)
-    # the object that basis_from_json decodes, whose kind and L default to a
-    # Dirichlet basis on [0, 1]; None: {}
-    basis: dict | None = _setting(None, "basis", _section, keys=_BASIS_KEYS)
+    # the basis_from_json keys besides N; cA None: the default shift, lambdas: custom only
+    kind: str = _setting(DIRICHLET, "basis.kind", _kind)
+    L: float = _setting(1.0, "basis.L", _positive)
+    cA: float | None = _setting(None, "basis.cA", _positive, least=0.0, strict=False)
+    lambdas: np.ndarray | None = _setting(None, "basis.lambdas", _vector, dtype=float, ascending=True)
     # None: 2 for state draws, 3 for data draws; finite order-1 norms at every
     # truncation level need decay > 1
     decay: float | None = _setting(None, "decay", _positive, least=1.0)
     coeffs: np.ndarray | None = _setting(None, "coeffs", _vector, decode=_complex_pairs, dtype=complex)
-    oracle_M: int = _setting(256, "oracle.M", _count, least=3)
+    oracle_M: int = _setting(256, "oracle.M", _count, least=3, most=2**53 - 2)  # M + 2 grid points <= 2^53
     oracle_dt: float = _setting(1.0e-3, "oracle.dt", _positive)
     oracle_modes: int = _setting(2, "oracle.modes", _count, least=1)
     trajectory_steps: int = _setting(32, "trajectory_steps", _count, least=1)
@@ -150,16 +147,12 @@ def load_config(path=None, args=None) -> ExperimentConfig:
     build_parser) gives on top, gathered along the ExperimentConfig rows,
     whose rules then check them."""
     obj = {} if path is None else _section(_read_json(path, "config"), "config")
-    _rows_only(obj, {f.metadata["path"] for f in fields(ExperimentConfig)})
+    in_file = _gather(obj, {f.metadata["path"] for f in fields(ExperimentConfig)})
     values = {}
     for f in fields(ExperimentConfig):
-        *parents, key = f.metadata["path"].split(".")
-        section = obj
-        for name in parents:
-            section = _section(section.get(name), name)
-        if key in section:
-            decode = f.metadata["decode"]
-            values[f.name] = decode(section[key], f.metadata["path"]) if decode else section[key]
+        at, decode = f.metadata["path"], f.metadata["decode"]
+        if at in in_file:
+            values[f.name] = decode(in_file[at], at) if decode else in_file[at]
         for i, flag in enumerate(f.metadata["flags"]):
             given = getattr(args, flag[2:].replace("-", "_"), None)
             if given is not None and f.name == "r":  # one part; the other from the file or the default
@@ -210,24 +203,25 @@ def run(cfg: ExperimentConfig, command: str) -> dict:
     if command not in COMMANDS:
         raise InvalidArgumentError(f"unknown command {command!r}")
     cfg.out.mkdir(parents=True, exist_ok=True)
-    handler, decay, files = _HANDLERS[command]
+    handler, decay, files, count = _HANDLERS[command]
     report = {"command": command, "well_posed": None, "norms": {}, "errors": {},
               "conditioning": None, "timings": {}, "outputs": [str(cfg.out / f) for f in files]}
     t0 = time.perf_counter()
 
-    obj = {"kind": DIRICHLET, "L": 1.0, **(cfg.basis or {})}
-    N = obj.get("N") if cfg.N is None else cfg.N  # the N row, as --N beats the file
-    N = 64 if N is None and obj["kind"] != CUSTOM else N  # custom: one per eigenvalue
-    if command == "oracle-check" and obj["kind"] == DIRICHLET:  # oracle_mu_coeffs refuses other kinds
+    N = 64 if cfg.N is None and cfg.kind != CUSTOM else cfg.N  # custom: one per eigenvalue
+    if command == "oracle-check" and cfg.kind == DIRICHLET:  # oracle_mu_coeffs refuses other kinds
         N = min(cfg.oracle_modes, N)  # the grid compares the lowest modes only
-    try:
-        basis = basis_from_json({**obj, "N": N})
-    except MemoryError as exc:  # N passed its rule, but the basis's arrays do not fit
-        raise InvalidArgumentError(f"basis.N = {N} is too large to allocate: {exc}") from exc
     # forward does not average, and sweep averages at one Re r per point
     params = None if command in ("forward", "sweep") else AveragingParams(cfg.r, cfg.T)
-    state = None if decay is None else _initial_state(cfg, basis, decay)
-    handler(cfg, cfg.out, report, basis, params, state)
+    sizing = "basis.N"  # the path of the count that sizes the arrays being made
+    try:
+        basis = basis_from_json({"kind": cfg.kind, "L": cfg.L, "N": N, "cA": cfg.cA, "lambdas": cfg.lambdas})
+        state = None if decay is None else _initial_state(cfg, basis, decay)
+        sizing = count
+        handler(cfg, cfg.out, report, basis, params, state)
+    except MemoryError as exc:  # the count passed its rule, but its arrays do not fit
+        value = next(getattr(cfg, f.name) for f in fields(cfg) if f.metadata["path"] == sizing)
+        raise InvalidArgumentError(f"{sizing} = {value} is too large to allocate: {exc}") from exc
 
     report["timings"]["total_s"] = time.perf_counter() - t0
     report_path = cfg.out / "report.json"
@@ -236,9 +230,15 @@ def run(cfg: ExperimentConfig, command: str) -> dict:
     return report
 
 
-def _run_forward(cfg, out, report, basis, _, xi):
+def _trajectory(cfg, out, xi):
+    """The trajectory of xi over [0, T], written to trajectory.csv."""
     traj = sample_trajectory(xi, cfg.T, cfg.trajectory_steps)
     trajectory_to_csv(traj, out / "trajectory.csv")
+    return traj
+
+
+def _run_forward(cfg, out, report, basis, _, xi):
+    traj = _trajectory(cfg, out, xi)
     report["norms"] = {
         "xi_h": sobolev_norm(xi, 0),
         "xi_h1": sobolev_norm(xi, 1),
@@ -261,8 +261,7 @@ def _run_average(cfg, out, report, basis, params, xi):
 def _run_recover(cfg, out, report, basis, params, mu):
     mu_used = _perturbed(mu, cfg.noise, cfg.seed + 1)
     xi_hat = recover_initial(mu_used, params)
-    traj = sample_trajectory(xi_hat, cfg.T, cfg.trajectory_steps)
-    trajectory_to_csv(traj, out / "trajectory.csv")
+    traj = _trajectory(cfg, out, xi_hat)
     rep = conditioning_report(basis, params)
     zeta_to_csv(zeta_factors(basis, params), out / "zeta.csv")
     save_coefficients(out / "xi.json", xi_hat)
@@ -346,16 +345,18 @@ def _run_sweep(cfg, out, report, basis, _, mu):
 
 
 # command -> (handler, decay of the state it draws through _initial_state or
-# None, the files it writes besides report.json); each handler is called with
-# (cfg, out, report, basis, params, state)
+# None, the files it writes besides report.json, the path of the count that
+# sizes its largest arrays); each handler is called with (cfg, out, report,
+# basis, params, state)
 _HANDLERS = {
-    "forward": (_run_forward, 2.0, ("trajectory.csv", "trajectory.meta.json")),
-    "average": (_run_average, 2.0, ("zeta.csv", "mu.json")),
-    "recover": (_run_recover, 3.0, ("trajectory.csv", "trajectory.meta.json", "zeta.csv", "xi.json")),
-    "roundtrip": (_run_roundtrip, 2.0, ("zeta.csv", "errors.csv")),
-    "conditioning": (_run_conditioning, None, ("zeta.csv",)),
-    "oracle-check": (_run_oracle_check, 2.0, ("errors.csv",)),
-    "sweep": (_run_sweep, 3.0, ("errors.csv",)),
+    "forward": (_run_forward, 2.0, ("trajectory.csv", "trajectory.meta.json"), "trajectory_steps"),
+    "average": (_run_average, 2.0, ("zeta.csv", "mu.json"), "basis.N"),
+    "recover": (_run_recover, 3.0, ("trajectory.csv", "trajectory.meta.json", "zeta.csv", "xi.json"),
+                "trajectory_steps"),
+    "roundtrip": (_run_roundtrip, 2.0, ("zeta.csv", "errors.csv"), "basis.N"),
+    "conditioning": (_run_conditioning, None, ("zeta.csv",), "basis.N"),
+    "oracle-check": (_run_oracle_check, 2.0, ("errors.csv",), "oracle.M"),
+    "sweep": (_run_sweep, 3.0, ("errors.csv",), "basis.N"),
 }
 COMMANDS = tuple(_HANDLERS)
 

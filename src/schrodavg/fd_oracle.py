@@ -35,14 +35,14 @@ from .spectral import _require_finite, _trusted
 
 @dataclass(frozen=True, eq=False)
 class FdConfig:
-    """Grid parameters: M interior points (h = L/(M+1)) and time step dt."""
+    """Grid parameters: M interior points (h = L/(M+1); M + 2 grid points <= 2^53) and time step dt."""
 
     interior_points: int
     dt: float
     L: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "interior_points", _count(self.interior_points, "interior_points", 3))
+        object.__setattr__(self, "interior_points", _count(self.interior_points, "interior_points", 3, 2**53 - 2))
         object.__setattr__(self, "dt", _positive(self.dt, "dt"))
         object.__setattr__(self, "L", _positive(self.L, "L"))
 

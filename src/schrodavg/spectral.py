@@ -29,6 +29,14 @@ CUSTOM = "custom"
 
 _KINDS = (DIRICHLET, PERIODIC, CUSTOM)
 
+
+def _kind(x, name: str) -> str:
+    """x, one of the basis kinds _KINDS."""
+    if not (isinstance(x, str) and x in _KINDS):
+        raise InvalidArgumentError(f"{name} must be one of {', '.join(_KINDS)}, got {x!r}")
+    return x
+
+
 # below this norm, the squares of its coefficients may lose bits to underflow
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
@@ -98,8 +106,7 @@ class SpectralBasis:
     eigenfunctions: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidArgumentError(f"unknown basis kind {self.kind!r}")
+        _kind(self.kind, "kind")
         L = _positive(self.domain_length, "domain_length")
         lam = _vector(self.lambdas, float, "lambdas", ascending=True)
         cA = _floor_shift(lam[0]) if self.c_A is None else _positive(self.c_A, "c_A", 0.0, strict=False)
@@ -372,10 +379,6 @@ def _complex_pairs(pairs, name: str):
     return v.view(complex)[..., 0][()]
 
 
-# the keys of a basis object, all that basis_from_json reads
-_BASIS_KEYS = ("kind", "L", "N", "cA", "lambdas")
-
-
 def basis_to_json(basis: SpectralBasis, **fields) -> dict:
     """{"kind", "L", "N", "cA", **fields}, then "lambdas" for a custom basis."""
     obj = {"kind": basis.kind, "L": basis.domain_length, "N": basis.mode_count, "cA": basis.c_A,
@@ -391,17 +394,15 @@ def basis_from_json(obj: dict) -> SpectralBasis:
     The basis's constructor checks each value."""
     if not isinstance(obj, dict):
         raise InvalidArgumentError(f"a basis must be a JSON object, got {obj!r}")
-    kind, L, N, cA = obj.get("kind"), obj.get("L"), obj.get("N"), obj.get("cA")
+    kind, L, N, cA = _kind(obj.get("kind"), "kind"), obj.get("L"), obj.get("N"), obj.get("cA")
     if kind == DIRICHLET:
         return make_dirichlet_basis(L, N, cA)
     if kind == PERIODIC:
         return make_periodic_basis(L, N, cA)
-    if kind == CUSTOM:
-        basis = make_custom_basis(obj.get("lambdas"), L, cA)
-        if N is not None and _count(N, "N", 1) != basis.mode_count:
-            raise InvalidArgumentError(f"lambdas length {basis.mode_count} != N = {N}")
-        return basis
-    raise InvalidArgumentError(f"unknown basis kind {kind!r}")
+    basis = make_custom_basis(obj.get("lambdas"), L, cA)
+    if N is not None and _count(N, "N", 1) != basis.mode_count:
+        raise InvalidArgumentError(f"lambdas length {basis.mode_count} != N = {N}")
+    return basis
 
 
 def save_coefficients(path, c: ModeCoefficients) -> None:

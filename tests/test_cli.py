@@ -18,8 +18,8 @@ from schrodavg import (
     AveragingParams, InvalidArgumentError, ModeCoefficients, apply_time_average, load_coefficients,
     make_custom_basis, make_dirichlet_basis,
 )
-from schrodavg.cli import COMMANDS, ExperimentConfig, build_parser, load_config, main, run
-from schrodavg.spectral import _BASIS_KEYS, basis_from_json, basis_to_json
+from schrodavg.cli import COMMANDS, ExperimentConfig, _gather, build_parser, load_config, main, run
+from schrodavg.spectral import basis_from_json, basis_to_json
 
 T_FULL_REVOLUTION = 2.0 / np.pi
 
@@ -615,7 +615,10 @@ REFUSED_SETTINGS = {
     "basis.N": [np.inf, np.nan, 0, 3.7, "8"],
     "seed": [np.inf, np.nan, -1, 3.7, "5"],
     "noise": [np.inf, np.nan, -1e-6, "0"],
-    "basis": [[1], 5, "dirichlet_interval"],
+    "basis.kind": ["neumann", "Dirichlet_interval", 5, None, ["custom"]],
+    "basis.L": [np.inf, np.nan, 0.0, -1.0, "1"],
+    "basis.cA": [np.inf, np.nan, -1e-6, "0"],
+    "basis.lambdas": [[np.nan], [1.0, np.inf], [3.0, 1.0], [], "1", ["1"], [[1.0]]],
     "decay": [np.inf, np.nan, 1.0, 0.5, "3"],
     "coeffs": [[[np.nan, 0.0]], [[1.0, "0"]], "1", [1.0, 0.0], [[1.0, 0.0, 0.0]]],
     "oracle.M": [np.inf, np.nan, 2, 256.5, "256"],
@@ -661,6 +664,19 @@ class TestConfigRules:
         assert all(callable(f.metadata["rule"]) for f in ROWS.values())
         flags = {flag for f in ROWS.values() for flag in f.metadata["flags"]}
         assert flags - {"--out"} == set(REFUSED_FLAGS)
+
+    def test_no_row_path_is_a_section_of_another(self):
+        # a row's value never holds other rows, as the basis object and its
+        # basis.N once did: each value is read at one path, by one rule
+        assert not [(p, q) for p in ROWS for q in ROWS if q.startswith(p + ".")]
+
+    @pytest.mark.parametrize("section, value", [("basis", [1]), ("basis", 5), ("basis", "dirichlet_interval"),
+                                                ("oracle", [16])], ids=repr)
+    def test_non_object_section_refused(self, tmp_path, capsys, section, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({section: value}))
+        assert main(["forward", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+        _one_refusal(capsys, f"{section} must be a JSON object,")
 
     @pytest.mark.parametrize("path, value", [(p, v) for p, vs in REFUSED_SETTINGS.items() for v in vs], ids=repr)
     def test_refused_from_the_file(self, tmp_path, monkeypatch, capsys, path, value):
@@ -738,7 +754,8 @@ class TestConfigRules:
     # a JSON true or false is not a number: alone, as a vector, or in a list
     # beside numbers, where numpy would read it as an integer
     BOOLEANS = [("basis.N", True), ("T", True), ("seed", True), ("noise", False), ("decay", True),
-                ("oracle.M", True), ("trajectory_steps", True), ("r", [True, False]),
+                ("oracle.M", True), ("trajectory_steps", True), ("basis.L", True), ("basis.cA", False),
+                ("basis.kind", True), ("basis.lambdas", [1.0, True]), ("r", [True, False]),
                 ("coeffs", [[True, False]]), ("sweep_r_re", [True]), ("r", [True, 0]),
                 ("coeffs", [[1.0, 0.0], [0.0, False]]), ("sweep_r_re", [0.5, True])]
 
@@ -764,6 +781,8 @@ class TestConfigRules:
     @pytest.mark.parametrize("command, path, value", [
         ("forward", "basis.N", 1e20), ("forward", "basis.N", 2**63), ("forward", "trajectory_steps", 1e20),
         ("oracle-check", "oracle.M", 1e20), ("oracle-check", "oracle.modes", 2**53 + 2),
+        # the grid has oracle.M + 2 points, which must count too
+        ("oracle-check", "oracle.M", 2**53), ("oracle-check", "oracle.M", 2**53 - 1),
     ], ids=repr)
     def test_counts_beyond_2_to_53_refused(self, tmp_path, capsys, command, path, value):
         cfg_path = tmp_path / "cfg.json"
@@ -775,14 +794,21 @@ class TestConfigRules:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"basis": {"kind": "custom", "lambdas": [1.0, True, 3.0]}}))
         assert main(["conditioning", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
-        _one_refusal(capsys, "lambdas")
+        _one_refusal(capsys, "basis.lambdas")
 
-    def test_count_too_large_to_allocate_exits_one(self, tmp_path, capsys):
-        # 2^53 modes, 64 PiB of labels: malloc refuses it at once
-        assert main(["forward", "--N", str(2**53), "--out", str(tmp_path / "x")]) == 1
-        _one_refusal(capsys, f"basis.N = {2**53} is too large to allocate:")
-        with pytest.raises(InvalidArgumentError, match=rf"^basis\.N = {2**53} "):
-            run(ExperimentConfig(basis={"N": 2**53}, out=tmp_path / "y"), "forward")
+    # each passes its rule, but sizes 64 PiB (labels, sample times, grid
+    # points), which malloc refuses at once
+    @pytest.mark.parametrize("command, path, value", [
+        ("forward", "basis.N", 2**53), ("forward", "trajectory_steps", 2**53),
+        ("oracle-check", "oracle.M", 2**53 - 2),
+    ], ids=repr)
+    def test_count_too_large_to_allocate_exits_one(self, tmp_path, capsys, command, path, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**_nested("basis.N", 4), **_nested(path, value)}))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
+        _one_refusal(capsys, f"{path} = {value} is too large to allocate:")
+        with pytest.raises(InvalidArgumentError, match=rf"^{re.escape(path)} = {value} "):
+            run(ExperimentConfig(**{"N": 4, ROWS[path].name: value, "out": tmp_path / "y"}), command)
 
     @pytest.mark.parametrize("config, message", [
         ({"nosie": 1}, "nosie (did you mean noise?)"),
@@ -801,17 +827,17 @@ class TestConfigRules:
             {"error": "config-error", "message": f"unknown config key {message}"}]
         assert not (tmp_path / "x").exists()
 
-    def test_unknown_basis_key_refused_when_built_by_hand(self, tmp_path):
-        with pytest.raises(InvalidArgumentError, match=r"^unknown config key basis\.n \(did you mean basis\.N\?\)$"):
-            ExperimentConfig(basis={"n": 8}, out=tmp_path / "x")
-
-    def test_basis_keys_are_the_ones_the_codec_reads(self):
-        # the keys the basis row accepts are read by basis_from_json, which
-        # reads no other, and written by basis_to_json
+    def test_basis_keys_are_the_ones_the_codec_reads(self, tmp_path):
+        # the basis.* rows are the keys that basis_from_json reads, which
+        # reads no other, and a basis that basis_to_json writes reads back
         read = set(re.findall(r'obj\.get\("(\w+)"\)', inspect.getsource(basis_from_json)))
-        assert read == set(_BASIS_KEYS)
+        assert {p for p in ROWS if p.startswith("basis.")} == {f"basis.{k}" for k in read}
+        cfg_path = tmp_path / "cfg.json"
         for b in (make_dirichlet_basis(1.0, 3), make_custom_basis([1.0, 2.0])):
-            assert ExperimentConfig(basis=basis_to_json(b)).basis == basis_to_json(b)
+            cfg_path.write_text(json.dumps({"basis": basis_to_json(b)}))
+            cfg = load_config(cfg_path)
+            got = basis_from_json({k: getattr(cfg, ROWS[f"basis.{k}"].name) for k in read})
+            assert basis_to_json(got) == basis_to_json(b)
 
     def test_readme_config_example_is_accepted(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -819,6 +845,8 @@ class TestConfigRules:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(example.split("```", 1)[0])
         assert load_config(cfg_path).oracle_M == 256
+        # the example sets every row but the custom basis's eigenvalues
+        assert set(_gather(json.loads(cfg_path.read_text()), set(ROWS))) == set(ROWS) - {"basis.lambdas"}
 
 
 class TestFileEdge:
@@ -868,23 +896,20 @@ class TestFileEdge:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"basis": {"N": 8}}))
         assert main(["conditioning", "--config", str(cfg_path), "--out", str(tmp_path / "file")]) == 0
-        run(ExperimentConfig(basis={"N": 8}, out=tmp_path / "hand"), "conditioning")
+        run(ExperimentConfig(N=8, out=tmp_path / "hand"), "conditioning")
         from_file = (tmp_path / "file" / "zeta.csv").read_bytes()
         assert (tmp_path / "hand" / "zeta.csv").read_bytes() == from_file
         assert from_file.count(b"\n") == 8 + 1
 
-    def test_the_N_row_beats_the_basis_object(self, tmp_path):
-        run(ExperimentConfig(N=5, basis={"N": 8}, out=tmp_path / "hand"), "conditioning")
-        _, rows = read_csv(tmp_path / "hand" / "zeta.csv")
-        assert len(rows) == 5
+    def test_the_N_flag_beats_the_file(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"basis": {"N": 8}}))
         assert main(["conditioning", "--config", str(cfg_path), "--N", "5", "--out", str(tmp_path / "file")]) == 0
-        assert (tmp_path / "file" / "zeta.csv").read_bytes() == (tmp_path / "hand" / "zeta.csv").read_bytes()
+        _, rows = read_csv(tmp_path / "file" / "zeta.csv")
+        assert len(rows) == 5
 
     def test_hand_built_custom_basis_has_one_mode_per_eigenvalue(self, tmp_path):
-        run(ExperimentConfig(basis={"kind": "custom", "lambdas": [1.0, 2.0, 3.0]}, out=tmp_path / "x"),
-            "conditioning")
+        run(ExperimentConfig(kind="custom", lambdas=[1.0, 2.0, 3.0], out=tmp_path / "x"), "conditioning")
         _, rows = read_csv(tmp_path / "x" / "zeta.csv")
         assert len(rows) == 3
 
@@ -900,6 +925,8 @@ class TestFileEdge:
         ("forward", b"{}", "x", ["--N", "9223372036854775808"], 1, "config-error"),
         # 64 PiB, which malloc refuses at once
         ("forward", b"{}", "x", ["--N", "9007199254740992"], 1, "config-error"),
+        ("forward", b'{"trajectory_steps": 9007199254740992}', "x", ["--N", "4"], 1, "config-error"),
+        ("oracle-check", b'{"oracle": {"M": 9007199254740990}}', "x", [], 1, "config-error"),
         ("roundtrip", b'{"nosie": 1}', "x", [], 1, "config-error"),
         ("conditioning", b'{"basis": {"n": 8}, "oracle": {"m": 16}}', "x", [], 1, "config-error"),
         ("conditioning", b'{"r": [true, 0]}', "x", [], 1, "config-error"),
@@ -909,8 +936,9 @@ class TestFileEdge:
         ("roundtrip", b"{}", "x", ["--r-re", "800"], 4, "numeric-error"),
         ("recover", b"{}", "x", ["--noise", "1e308"], 4, "numeric-error"),
     ], ids=["non-utf8-config", "file-as-out", "boolean-coeffs", "boolean-sweep", "N-1e20", "steps-1e20",
-            "oracle-M-1e20", "N-2^63", "N-2^53", "unknown-key", "unknown-nested-keys", "boolean-in-r",
-            "average-overflow", "recover-overflow", "roundtrip-overflow", "recover-noise-overflow"])
+            "oracle-M-1e20", "N-2^63", "N-2^53", "steps-2^53", "oracle-M-2^53-2", "unknown-key",
+            "unknown-nested-keys", "boolean-in-r", "average-overflow", "recover-overflow", "roundtrip-overflow",
+            "recover-noise-overflow"])
     def test_module_failure_is_one_json_line(self, tmp_path, command, config, out, flags, code, kind):
         (tmp_path / "taken").write_text("")
         cfg_path = tmp_path / "cfg.json"
