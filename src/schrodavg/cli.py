@@ -163,14 +163,6 @@ def load_config(path=None, args=None) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def seeded_coefficients(basis, seed: int, decay: float) -> ModeCoefficients:
-    """|c_k| = k^-decay with uniformly random phases, k = 1-based position."""
-    rng = np.random.default_rng(seed)
-    k = np.arange(1, basis.mode_count + 1, dtype=float)
-    phases = rng.uniform(0.0, 2.0 * np.pi, basis.mode_count)
-    return _result(k**-decay * np.exp(1j * phases), basis, "seeded state")
-
-
 def _perturbed(c: ModeCoefficients, eps: float, seed: int) -> ModeCoefficients:
     """Relative per-mode perturbation of magnitude eps with seeded phases."""
     if eps == 0.0:
@@ -181,9 +173,14 @@ def _perturbed(c: ModeCoefficients, eps: float, seed: int) -> ModeCoefficients:
 
 
 def _initial_state(cfg: ExperimentConfig, basis, default_decay: float) -> ModeCoefficients:
+    """The coeffs row, else |c_k| = k^-decay with uniformly random phases
+    drawn from the seed, k = 1-based position."""
     if cfg.coeffs is not None:
         return ModeCoefficients(cfg.coeffs, basis)
-    return seeded_coefficients(basis, cfg.seed, cfg.decay if cfg.decay is not None else default_decay)
+    k = np.arange(1, basis.mode_count + 1, dtype=float)
+    phases = np.random.default_rng(cfg.seed).uniform(0.0, 2.0 * np.pi, basis.mode_count)
+    decay = cfg.decay if cfg.decay is not None else default_decay
+    return _result(k**-decay * np.exp(1j * phases), basis, "seeded state")
 
 
 def _relative(err, ref) -> np.ndarray:
@@ -192,37 +189,32 @@ def _relative(err, ref) -> np.ndarray:
     return np.divide(err, ref, out=err.copy(), where=ref > 0)
 
 
-def _rel_err(a: ModeCoefficients, b: ModeCoefficients, order: int) -> float:
-    diff = _result(a.values - b.values, a.basis, "error")
-    return float(_relative(sobolev_norm(diff, order), sobolev_norm(b, order)))
-
-
 def run(cfg: ExperimentConfig, command: str) -> dict:
-    """Execute one pipeline, writing artifacts under cfg.out.  Returns the
-    report written as report.json, its path then appended to its outputs."""
+    """Execute one pipeline, writing artifacts under cfg.out and report.json
+    from its handler's sections.  Returns the report, its path then appended to its outputs."""
     if command not in COMMANDS:
         raise InvalidArgumentError(f"unknown command {command!r}")
     cfg.out.mkdir(parents=True, exist_ok=True)
     handler, decay, files, count = _HANDLERS[command]
-    report = {"command": command, "well_posed": None, "norms": {}, "errors": {},
-              "conditioning": None, "timings": {}, "outputs": [str(cfg.out / f) for f in files]}
     t0 = time.perf_counter()
 
     N = 64 if cfg.N is None and cfg.kind != CUSTOM else cfg.N  # custom: one per eigenvalue
     if command == "oracle-check" and cfg.kind == DIRICHLET:  # oracle_mu_coeffs refuses other kinds
         N = min(cfg.oracle_modes, N)  # the grid compares the lowest modes only
-    # forward does not average, and sweep averages at one Re r per point
-    params = None if command in ("forward", "sweep") else AveragingParams(cfg.r, cfg.T)
+    params = AveragingParams(cfg.r, cfg.T)
     sizing = "basis.N"  # the path of the count that sizes the arrays being made
     try:
         basis = basis_from_json({"kind": cfg.kind, "L": cfg.L, "N": N, "cA": cfg.cA, "lambdas": cfg.lambdas})
         state = None if decay is None else _initial_state(cfg, basis, decay)
         sizing = count
-        handler(cfg, cfg.out, report, basis, params, state)
+        sections = handler(cfg, basis, params, state)
     except MemoryError as exc:  # the count passed its rule, but its arrays do not fit
         value = next(getattr(cfg, f.name) for f in fields(cfg) if f.metadata["path"] == sizing)
         raise InvalidArgumentError(f"{sizing} = {value} is too large to allocate: {exc}") from exc
 
+    report = {"command": command, "well_posed": None, "norms": {}, "errors": {},
+              "conditioning": None, "timings": {}, "outputs": [str(cfg.out / f) for f in files]}
+    report.update(sections)  # keeps the keys' order
     report["timings"]["total_s"] = time.perf_counter() - t0
     report_path = cfg.out / "report.json"
     report_path.write_text(json.dumps(report, indent=2) + "\n")
@@ -230,91 +222,92 @@ def run(cfg: ExperimentConfig, command: str) -> dict:
     return report
 
 
-def _trajectory(cfg, out, xi):
+def _trajectory(cfg, xi):
     """The trajectory of xi over [0, T], written to trajectory.csv."""
     traj = sample_trajectory(xi, cfg.T, cfg.trajectory_steps)
-    trajectory_to_csv(traj, out / "trajectory.csv")
+    trajectory_to_csv(traj, cfg.out / "trajectory.csv")
     return traj
 
 
-def _run_forward(cfg, out, report, basis, _, xi):
-    traj = _trajectory(cfg, out, xi)
-    report["norms"] = {
+def _run_forward(cfg, basis, _, xi):
+    traj = _trajectory(cfg, xi)
+    return {"norms": {
         "xi_h": sobolev_norm(xi, 0),
         "xi_h1": sobolev_norm(xi, 1),
         "sup_h": trajectory_sup_norm(traj, 0),
         "sup_h1": trajectory_sup_norm(traj, 1),
-    }
+    }}
 
 
-def _run_average(cfg, out, report, basis, params, xi):
+def _run_average(cfg, basis, params, xi):
     mu = apply_time_average(xi, params)
-    zeta_to_csv(zeta_factors(basis, params), out / "zeta.csv")
-    save_coefficients(out / "mu.json", mu)
-    report["norms"] = {
+    zeta_to_csv(zeta_factors(basis, params), cfg.out / "zeta.csv")
+    save_coefficients(cfg.out / "mu.json", mu)
+    return {"norms": {
         "xi_h1": sobolev_norm(xi, 1),
         "mu_h2": sobolev_norm(mu, 2),
         "forward_smoothing_constant": forward_smoothing_constant(basis, params),
-    }
+    }}
 
 
-def _run_recover(cfg, out, report, basis, params, mu):
+def _run_recover(cfg, basis, params, mu):
     mu_used = _perturbed(mu, cfg.noise, cfg.seed + 1)
     xi_hat = recover_initial(mu_used, params)
-    traj = _trajectory(cfg, out, xi_hat)
+    traj = _trajectory(cfg, xi_hat)
     rep = conditioning_report(basis, params)
-    zeta_to_csv(zeta_factors(basis, params), out / "zeta.csv")
-    save_coefficients(out / "xi.json", xi_hat)
-    report["well_posed"] = rep.well_posed
-    report["conditioning"] = report_summary(rep)
-    report["norms"] = {
+    zeta_to_csv(zeta_factors(basis, params), cfg.out / "zeta.csv")
+    save_coefficients(cfg.out / "xi.json", xi_hat)
+    return {"well_posed": rep.well_posed, "conditioning": report_summary(rep), "norms": {
         "mu_h2": sobolev_norm(mu_used, 2),
         "xi_h": sobolev_norm(xi_hat, 0),
         "xi_h1": sobolev_norm(xi_hat, 1),
         "sup_h1": trajectory_sup_norm(traj, 1),
-    }
+    }}
 
 
-def _run_roundtrip(cfg, out, report, basis, params, xi):
+def _run_roundtrip(cfg, basis, params, xi):
     mu = apply_time_average(xi, params)
     mu_used = _perturbed(mu, cfg.noise, cfg.seed + 1)
     xi_hat = recover_initial(mu_used, params)
-    zeta_to_csv(zeta_factors(basis, params), out / "zeta.csv")
-    abs_err = np.abs(xi_hat.values - xi.values)
-    _write_csv(out / "errors.csv", "k,abs_error,rel_error",
+    zeta_to_csv(zeta_factors(basis, params), cfg.out / "zeta.csv")
+    err = _result(xi_hat.values - xi.values, basis, "error")
+    abs_err = np.abs(err.values)
+    _write_csv(cfg.out / "errors.csv", "k,abs_error,rel_error",
                [range(1, basis.mode_count + 1), abs_err, _relative(abs_err, np.abs(xi.values))])
-    report["well_posed"] = True  # recover_initial refused Re r = 0
-    report["errors"] = {
-        "roundtrip_rel_h": _rel_err(xi_hat, xi, 0),
-        "roundtrip_rel_h1": _rel_err(xi_hat, xi, 1),
-        "noise": cfg.noise,
+    return {
+        "well_posed": True,  # recover_initial refused Re r = 0
+        "errors": {
+            "roundtrip_rel_h": float(_relative(sobolev_norm(err, 0), sobolev_norm(xi, 0))),
+            "roundtrip_rel_h1": float(_relative(sobolev_norm(err, 1), sobolev_norm(xi, 1))),
+            "noise": cfg.noise,
+        },
+        "norms": {"xi_h": sobolev_norm(xi, 0), "mu_h2": sobolev_norm(mu, 2)},
     }
-    report["norms"] = {"xi_h": sobolev_norm(xi, 0), "mu_h2": sobolev_norm(mu, 2)}
 
 
-def _run_conditioning(cfg, out, report, basis, params, _):
+def _run_conditioning(cfg, basis, params, _):
     rep = conditioning_report(basis, params)
-    report_to_csv(rep, out / "zeta.csv")
-    report["well_posed"] = rep.well_posed
-    report["conditioning"] = report_summary(rep)
+    report_to_csv(rep, cfg.out / "zeta.csv")
+    return {"well_posed": rep.well_posed, "conditioning": report_summary(rep)}
 
 
-def _run_oracle_check(cfg, out, report, basis, params, xi):
+def _run_oracle_check(cfg, basis, params, xi):
     n_cmp = basis.mode_count
     spectral_mu = apply_time_average(xi, params)
     fd = FdConfig(cfg.oracle_M, cfg.oracle_dt, basis.domain_length)
     t0 = time.perf_counter()
     oracle_mu = oracle_mu_coeffs(xi, params, fd)
-    report["timings"]["oracle_s"] = time.perf_counter() - t0
+    oracle_s = time.perf_counter() - t0
     spec, orac = spectral_mu.values, oracle_mu.values
     rel = _relative(np.abs(orac - spec), np.abs(spec))
-    _write_csv(out / "errors.csv", "k,spectral_re,spectral_im,oracle_re,oracle_im,rel_error", [
+    _write_csv(cfg.out / "errors.csv", "k,spectral_re,spectral_im,oracle_re,oracle_im,rel_error", [
         range(1, n_cmp + 1), spec.real, spec.imag, orac.real, orac.imag, rel,
     ])
-    report["errors"] = {"max_rel_error": float(rel.max()), "modes_compared": n_cmp}
+    return {"errors": {"max_rel_error": float(rel.max()), "modes_compared": n_cmp},
+            "timings": {"oracle_s": oracle_s}}
 
 
-def _run_sweep(cfg, out, report, basis, _, mu):
+def _run_sweep(cfg, basis, params, mu):
     # one data draw and one noise draw, shared by every sweep point, so the
     # error column isolates the dependence on Re r
     delta = _perturbed(mu, cfg.noise, cfg.seed + 1).values - mu.values
@@ -323,31 +316,31 @@ def _run_sweep(cfg, out, report, basis, _, mu):
     r_re = sorted(cfg.sweep_re.tolist())
     min_abs, errs_h, errs_h1, amps, bounds = [], [], [], [], []
     for re in r_re:
-        params = AveragingParams(complex(re, cfg.r.imag), cfg.T)
+        point = AveragingParams(complex(re, params.r.imag), params.T)
         # both inversions reuse the factors params keeps; delta / z would move the error bits
-        diff = _result(recover_initial(mu_used, params).values
-                       - recover_initial(mu, params).values, basis, "error")
+        diff = _result(recover_initial(mu_used, point).values
+                       - recover_initial(mu, point).values, basis, "error")
         err_h1 = sobolev_norm(diff, 1)
-        min_abs.append(zeta_factors(basis, params).min_abs)
+        min_abs.append(zeta_factors(basis, point).min_abs)
         errs_h.append(sobolev_norm(diff, 0))
         errs_h1.append(err_h1)
         amps.append(err_h1 / noise_h2 if noise_h2 > 0 else 0.0)
-        bounds.append(stability_bound(params))
+        bounds.append(stability_bound(point))
     header = "r_re,min_abs_zeta,error_h,error_h1,noise_h2,amplification,stability_bound"
-    _write_csv(out / "errors.csv", header,
+    _write_csv(cfg.out / "errors.csv", header,
                [r_re, min_abs, errs_h, errs_h1, [noise_h2] * len(r_re), amps, bounds])
-    report["errors"] = {
+    return {"errors": {
         "noise": cfg.noise,
         "noise_h2": noise_h2,
         "max_amplification": max(amps) if amps else 0.0,
         "monotone_error_h1": all(b <= a * (1 + 1e-12) for a, b in zip(errs_h1, errs_h1[1:])),
-    }
+    }}
 
 
 # command -> (handler, decay of the state it draws through _initial_state or
-# None, the files it writes besides report.json, the path of the count that
-# sizes its largest arrays); each handler is called with (cfg, out, report,
-# basis, params, state)
+# None, the files it writes under cfg.out besides report.json, the path of the
+# count that sizes its largest arrays); each handler is called with (cfg,
+# basis, params, state) and returns the report.json sections it fills
 _HANDLERS = {
     "forward": (_run_forward, 2.0, ("trajectory.csv", "trajectory.meta.json"), "trajectory_steps"),
     "average": (_run_average, 2.0, ("zeta.csv", "mu.json"), "basis.N"),
@@ -400,14 +393,13 @@ def main(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):  # what is not finite is named by one JSON line below
             report = run(load_config(args.config, args), args.command)
+        if args.command == "conditioning" and report["well_posed"] is False:
+            # diagnostic runs still flag the ill-posed regime through the exit code
+            raise IllPosedError("Re r = 0 (report written)")
     except _FAILURES as exc:
         kind, code = next((kind, code) for cls, kind, code in _EXITS if isinstance(exc, cls))
         _diagnostic(kind, exc)
         return code
-    if args.command == "conditioning" and report["well_posed"] is False:
-        # diagnostic runs still flag the ill-posed regime through the exit code
-        _diagnostic("ill-posed-parameters", IllPosedError("Re r = 0 (report written)"))
-        return 2
     return 0
 
 

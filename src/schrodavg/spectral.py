@@ -390,11 +390,14 @@ def basis_to_json(basis: SpectralBasis, **fields) -> dict:
 
 def basis_from_json(obj: dict) -> SpectralBasis:
     """The basis that basis_to_json encodes.  A null "cA" takes the default
-    shift; a custom basis may omit "N", and otherwise N must be len(lambdas).
-    The basis's constructor checks each value."""
+    shift; a custom basis may omit "N", and otherwise N must be len(lambdas);
+    only a custom basis may hold "lambdas".  The basis's constructor checks
+    each value."""
     if not isinstance(obj, dict):
         raise InvalidArgumentError(f"a basis must be a JSON object, got {obj!r}")
     kind, L, N, cA = _kind(obj.get("kind"), "kind"), obj.get("L"), obj.get("N"), obj.get("cA")
+    if kind != CUSTOM and obj.get("lambdas") is not None:
+        raise InvalidArgumentError(f"lambdas are read only for a {CUSTOM} basis, not {kind}")
     if kind == DIRICHLET:
         return make_dirichlet_basis(L, N, cA)
     if kind == PERIODIC:

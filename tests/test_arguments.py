@@ -144,6 +144,11 @@ def test_grid_samples_refused(bad):
     refused(lambda v: project_from_grid(v, basis, grid), bad, "samples")
 
 
+@pytest.mark.parametrize("bad", [[0.0, 0.5, 0.5], [1.0, 0.5, 0.0]], ids=["repeated", "decreasing"])
+def test_grid_points_must_increase(bad):
+    refused(lambda v: SpatialGrid(3, v), bad, "points")
+
+
 # the scalars that an entry point reads as a number, by the argument's name: a
 # call that passes x as that argument, all else valid, and whether it is real
 # (then 1j is refused too)

@@ -107,6 +107,11 @@ class TestZetaFactors:
         b = make_dirichlet_basis(1.0, 9, 0.0)
         assert zeta_factors(b, AveragingParams(0.5, 2.0)).values.shape == (9,)
 
+    @pytest.mark.parametrize("count", [8, 10])
+    def test_factor_count_must_match_the_basis(self, count):
+        with pytest.raises(InvalidArgumentError, match="factor count must match basis mode count"):
+            ZetaFactors(np.ones(count), make_dirichlet_basis(1.0, 9))
+
     def test_per_mode_quadrature_agreement(self):
         b = make_dirichlet_basis(1.0, 6, 0.0)
         params = AveragingParams(-0.7 + 1.3j, 0.8)

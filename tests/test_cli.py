@@ -329,6 +329,22 @@ class TestConfigFile:
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "config-error"
 
+    @pytest.mark.parametrize("basis", [{}, {"kind": "periodic_interval"}], ids=["dirichlet", "periodic"])
+    def test_lambdas_refused_without_the_custom_kind(self, tmp_path, capsys, basis):
+        # read and then ignored, they would give a run of 64 preset modes
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"basis": {**basis, "lambdas": [1.0, 2.0, 3.0]}}))
+        out = tmp_path / "x"
+        assert main(["conditioning", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        diag = json.loads(err[0])
+        assert diag["error"] == "config-error" and "lambdas" in diag["message"]
+        assert not (out / "zeta.csv").exists()
+        with pytest.raises(InvalidArgumentError, match="lambdas"):
+            run(ExperimentConfig(kind=basis.get("kind", "dirichlet_interval"), lambdas=[1.0, 2.0, 3.0],
+                                 out=tmp_path / "y"), "conditioning")
+
     def test_oracle_check_compares_given_coefficients(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"basis": {"N": 2}, "coeffs": [[5, 0], [0, 7]]}))
@@ -388,6 +404,30 @@ class TestDeterminism:
         assert report["command"] == "roundtrip"
         assert report["errors"]["roundtrip_rel_h"] <= 1e-12
         assert report["timings"]["total_s"] > 0
+
+    def test_programmatic_run_refuses_an_unknown_command(self, tmp_path):
+        with pytest.raises(InvalidArgumentError, match="unknown command 'nope'"):
+            run(ExperimentConfig(N=8, out=tmp_path / "prog"), "nope")
+        assert not (tmp_path / "prog").exists()
+
+
+REPORT_KEYS = ["command", "well_posed", "norms", "errors", "conditioning", "timings", "outputs"]
+
+
+@pytest.mark.parametrize("command, flags, code", [(c, [], 0) for c in COMMANDS]
+                         + [("conditioning", ["--r-re", "0"], 2)], ids=[*COMMANDS, "conditioning-r0"])
+def test_report_has_the_fixed_sections_in_order(tmp_path, capsys, command, flags, code):
+    # cli.run builds every report from the sections its handler returns: the
+    # seven keys in this order whatever the command, total_s last of timings,
+    # and the files the command wrote before report.json
+    out = tmp_path / "run"
+    assert main([command, "--N", "8", "--out", str(out), *flags]) == code
+    report = strict_json((out / "report.json").read_text())
+    assert list(report) == REPORT_KEYS
+    assert report["command"] == command
+    assert list(report["timings"])[-1] == "total_s"
+    assert sorted(Path(f).name for f in report["outputs"]) == sorted(
+        f.name for f in out.iterdir() if f.name != "report.json")
 
 
 class TestImportCost:

@@ -29,7 +29,8 @@ from schrodavg import (
     unit_floor_shift,
 )
 from schrodavg.averaging import ZetaFactors, zeta_to_csv
-from schrodavg import AveragingParams, zeta_factors
+from schrodavg import AveragingParams, conditioning_report, zeta_factors
+from schrodavg.recover import report_to_csv
 from schrodavg.spectral import (
     _CSV_BLOCK_ROWS,
     _SQRT_TINY,
@@ -507,6 +508,11 @@ class TestGridTransforms:
         with pytest.raises(InvalidArgumentError, match="no eigenfunction evaluator"):
             synthesize_on_grid(ModeCoefficients([1.0, 0.0], b), g)
 
+    def test_custom_evaluator_of_the_wrong_shape_refused(self):
+        b = make_custom_basis([1.0, 2.0], eigenfunctions=lambda x: np.ones((x.size, 3)))
+        with pytest.raises(InvalidArgumentError, match=r"shape \(9, 3\), expected \(9, 2\)"):
+            synthesize_on_grid(ModeCoefficients([1.0, 0.0], b), uniform_grid(1.0, 9))
+
     def test_custom_with_evaluator_matches_preset(self):
         L, N = 1.0, 4
         ref = make_dirichlet_basis(L, N, 0.0)
@@ -564,10 +570,21 @@ class TestJsonSchema:
             {"kind": "dirichlet_interval", "L": 1.0, "N": 1.5, "cA": 0.0, "coeffs": [[1, 0]]},
             {"kind": "custom", "L": 1.0, "N": 2, "cA": 1.0, "lambdas": [1.0], "coeffs": [[1, 0]]},
             {"kind": "custom", "L": 1.0, "N": 1, "cA": 1.0, "lambdas": ["a"], "coeffs": [[1, 0]]},
+            [{"kind": "dirichlet_interval", "L": 1.0, "N": 1, "cA": 0.0, "coeffs": [[1, 0]]}],  # not an object
         ):
             path.write_text(json.dumps(obj))
             with pytest.raises(InvalidArgumentError):
                 load_coefficients(path)
+
+    @pytest.mark.parametrize("kind", ["dirichlet_interval", "periodic_interval"])
+    def test_lambdas_of_a_preset_basis_refused(self, tmp_path, kind):
+        # only a custom basis reads them: a preset would otherwise take its own
+        # eigenvalues (pi^2, 4 pi^2) in place of the file's without a word
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"kind": kind, "L": 1.0, "N": 2, "cA": 0.0, "lambdas": [5.0, 6.0],
+                                    "coeffs": [[1, 0], [0, 1]]}))
+        with pytest.raises(InvalidArgumentError, match="lambdas"):
+            load_coefficients(path)
 
     def test_missing_file_refused(self, tmp_path):
         with pytest.raises(InvalidArgumentError, match="cannot read"):
@@ -698,3 +715,15 @@ class TestCsvWriter:
         got = [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]]
         assert got == [f"{abs(v):.17g}" for v in z]
         assert got != [f"{v:.17g}" for v in np.abs(z)]  # the check can tell them apart
+
+    def test_the_two_abs_zeta_columns_agree_to_two_ulps(self, tmp_path):
+        # average, recover and roundtrip write zeta_to_csv's np.hypot column,
+        # conditioning writes report_to_csv's np.abs one (ZetaFactors.abs_values):
+        # both files are pinned by digests, so the last bits stay apart
+        basis, params = make_dirichlet_basis(1.0, 4096), AveragingParams(1.0 + 0.7j, 1.0)
+        zeta_to_csv(zeta_factors(basis, params), tmp_path / "average.csv")
+        report_to_csv(conditioning_report(basis, params), tmp_path / "conditioning.csv")
+        hypot = np.loadtxt(tmp_path / "average.csv", delimiter=",", skiprows=1, usecols=4)
+        vector = np.loadtxt(tmp_path / "conditioning.csv", delimiter=",", skiprows=1, usecols=2)
+        assert hypot.size == vector.size == 4096
+        assert np.all(np.abs(hypot - vector) <= 2 * np.spacing(np.maximum(hypot, vector)))
