@@ -30,7 +30,7 @@ import numpy as np
 from .averaging import AveragingParams
 from .errors import InvalidArgumentError, NumericError, _count, _positive, _vector
 from .spectral import DIRICHLET, ModeCoefficients, project_from_grid, synthesize_on_grid, uniform_grid
-from .spectral import _require_finite, _trusted
+from .spectral import _require_finite, _require_span, _trusted
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,10 +160,7 @@ def oracle_mu_coeffs(
     basis = xi.basis
     if basis.kind != DIRICHLET:
         raise InvalidArgumentError("grid cross-check supports Dirichlet bases only")
-    if abs(basis.domain_length - cfg.L) > 1.0e-12 * max(1.0, cfg.L):
-        raise InvalidArgumentError(
-            f"basis length {basis.domain_length} != grid length {cfg.L}"
-        )
+    _require_span(0.0, cfg.L, basis, "oracle grid")
     if 8 * basis.mode_count > cfg.interior_points:
         raise InvalidArgumentError(
             f"{basis.mode_count} modes need at least {8 * basis.mode_count} interior "

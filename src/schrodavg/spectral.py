@@ -6,9 +6,9 @@ lambda_k.  Norms of order s in {0, 1, 2} are weighted l2 norms on the
 coefficients with weights 1, lambda_k + c_A, lambda_k**2 + c_A, so every
 estimate in the package reduces to an inequality between weighted sums.
 
-Two presets carry explicit eigenfunctions (Dirichlet interval, periodic
-interval); custom bases take user-supplied eigenvalues and, optionally, a
-callable producing eigenfunction samples for grid work.
+Two presets, the Dirichlet and periodic Laplacians on [0, L], are fixed by
+(kind, L, N): eigenvalues, wavenumbers and eigenfunctions are closed forms,
+and only they support grid work.  Custom bases take user-supplied eigenvalues.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -35,6 +34,20 @@ def _kind(x, name: str) -> str:
     if not (isinstance(x, str) and x in _KINDS):
         raise InvalidArgumentError(f"{name} must be one of {', '.join(_KINDS)}, got {x!r}")
     return x
+
+
+def _wavenumbers(kind: str, N: int) -> np.ndarray:
+    """Mode labels: Dirichlet k = 1..N, periodic m = 0, 1, -1, 2, -2, ..., custom positions 1..N."""
+    k = np.arange(1, N + 1)
+    if kind == PERIODIC:
+        k //= 2  # 0, 1, 1, 2, 2, ...
+        k[2::2] *= -1
+    return k
+
+
+def _closed_form(kind: str, L: float, k: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a preset kind at its wavenumbers k: (pi k / L)^2 or (2 pi m / L)^2."""
+    return (k * np.pi / L) ** 2 if kind == DIRICHLET else (2.0 * np.pi * k / L) ** 2
 
 
 # below this norm, the squares of its coefficients may lose bits to underflow
@@ -87,28 +100,28 @@ class SpectralBasis:
     Attributes:
         kind: one of ``dirichlet_interval``, ``periodic_interval``, ``custom``.
         domain_length: length L of the spatial interval [0, L].
-        lambdas: eigenvalues, nondecreasing, shape (N,).
+        lambdas: eigenvalues, nondecreasing, shape (N,); a preset kind's are
+            bit for bit its closed form at (L, N).
         c_A: nonnegative norm shift; every lambda_k + c_A must be positive.
             None applies the default policy ``unit_floor_shift``.
-        labels: integer mode labels (Dirichlet wavenumbers 1..N, periodic
-            frequencies 0, 1, -1, 2, -2, ...).  File formats index modes by
-            1-based position, not by label.
-        eigenfunctions: optional callable mapping points x of shape (M,) to a
-            sample matrix of shape (M, N); only custom bases need it, and only
-            for synthesis/projection.
+
+    ``labels`` holds the integer mode labels that the kind derives
+    (``_wavenumbers``); files index modes by 1-based position, not by label.
     """
 
     kind: str
     domain_length: float
     lambdas: np.ndarray
     c_A: float | None
-    labels: np.ndarray
-    eigenfunctions: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         _kind(self.kind, "kind")
         L = _positive(self.domain_length, "domain_length")
         lam = _vector(self.lambdas, float, "lambdas", ascending=True)
+        labels = _wavenumbers(self.kind, lam.size)
+        bits = lam.view(np.int64)  # a preset's lambdas are its closed form bit for bit
+        if self.kind != CUSTOM and not np.array_equal(bits, _closed_form(self.kind, L, labels).view(np.int64)):
+            raise InvalidArgumentError(f"a {self.kind} basis has its closed-form lambdas; use make_custom_basis")
         cA = _floor_shift(lam[0]) if self.c_A is None else _positive(self.c_A, "c_A", 0.0, strict=False)
         if cA == math.inf:  # only the default shift overflows
             raise InvalidArgumentError(f"min(lambda) = {lam[0]} leaves no finite default c_A")
@@ -117,7 +130,7 @@ class SpectralBasis:
                 f"c_A={cA} leaves min(lambda)+c_A = {lam[0] + cA} <= 0; "
                 "order-1 norm weights must be positive"
             )
-        labels = _vector(self.labels, int, "labels", lam.size)
+        labels.setflags(write=False)
         object.__setattr__(self, "domain_length", L)
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "c_A", cA)
@@ -137,9 +150,8 @@ def make_dirichlet_basis(L: float, N: int, c_A: float | None = None) -> Spectral
     c_A=None applies the default policy ``unit_floor_shift``.
     """
     L = _positive(L, "L")
-    k = np.arange(1, _count(N, "N", 1) + 1)
-    lam = (k * np.pi / L) ** 2
-    return SpectralBasis(DIRICHLET, L, lam, c_A, k)
+    k = _wavenumbers(DIRICHLET, _count(N, "N", 1))
+    return SpectralBasis(DIRICHLET, L, _closed_form(DIRICHLET, L, k), c_A)
 
 
 def make_periodic_basis(L: float, N: int, c_A: float | None = None) -> SpectralBasis:
@@ -149,26 +161,14 @@ def make_periodic_basis(L: float, N: int, c_A: float | None = None) -> SpectralB
     The frequency ordering keeps the eigenvalues nondecreasing.
     """
     L = _positive(L, "L")
-    m = (np.arange(_count(N, "N", 1)) + 1) // 2  # 0, 1, 1, 2, 2, ...
-    m[2::2] *= -1
-    lam = (2.0 * np.pi * m / L) ** 2
-    return SpectralBasis(PERIODIC, L, lam, c_A, m)
+    k = _wavenumbers(PERIODIC, _count(N, "N", 1))
+    return SpectralBasis(PERIODIC, L, _closed_form(PERIODIC, L, k), c_A)
 
 
-def make_custom_basis(
-    lambdas,
-    domain_length: float = 1.0,
-    c_A: float | None = None,
-    eigenfunctions: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> SpectralBasis:
-    """Basis from user-supplied eigenvalues (nondecreasing, finite).
-
-    Without an ``eigenfunctions`` callable the basis supports every
-    coefficient-space operation but not grid synthesis/projection.
-    """
-    lam = _array(lambdas, float, "lambdas", copy=False)  # SpectralBasis checks and copies it
-    labels = np.arange(1, lam.size + 1)
-    return SpectralBasis(CUSTOM, domain_length, lam, c_A, labels, eigenfunctions)
+def make_custom_basis(lambdas, domain_length: float = 1.0, c_A: float | None = None) -> SpectralBasis:
+    """Basis from user-supplied eigenvalues (nondecreasing, finite), for every
+    coefficient-space operation; grid synthesis and projection take only the presets."""
+    return SpectralBasis(CUSTOM, domain_length, lambdas, c_A)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,23 +298,20 @@ def sobolev_norm(c: ModeCoefficients, order: int) -> float:
 
 
 def _mode_matrix(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:
-    """Sample matrix V with V[j, k] = v_k(x_j)."""
+    """Sample matrix V with V[j, k] = v_k(x_j) of a preset's closed-form eigenfunctions."""
+    L = basis.domain_length
     if basis.kind == DIRICHLET:
-        L = basis.domain_length
         return np.sqrt(2.0 / L) * np.sin(np.outer(x, basis.labels) * (np.pi / L))
     if basis.kind == PERIODIC:
-        L = basis.domain_length
         return np.exp(2j * np.pi * np.outer(x, basis.labels) / L) / np.sqrt(L)
-    if basis.eigenfunctions is None:
-        raise InvalidArgumentError(
-            "custom basis has no eigenfunction evaluator; grid operations unavailable"
-        )
-    V = np.asarray(basis.eigenfunctions(x))
-    if V.shape != (x.size, basis.mode_count):
-        raise InvalidArgumentError(
-            f"eigenfunction samples have shape {V.shape}, expected {(x.size, basis.mode_count)}"
-        )
-    return V
+    raise InvalidArgumentError(f"grid operations take a {DIRICHLET} or {PERIODIC} basis, not {CUSTOM}")
+
+
+def _require_span(a: float, b: float, basis: SpectralBasis, what: str) -> None:
+    """InvalidArgumentError unless ``what`` spans the basis's [0, L]: a = 0, b = L to within 1e-12 max(1, L)."""
+    L = basis.domain_length
+    if a != 0.0 or abs(b - L) > 1.0e-12 * max(1.0, L):
+        raise InvalidArgumentError(f"{what} spans [{a}, {b}], not the basis's [0, {L}]")
 
 
 def synthesize_on_grid(c: ModeCoefficients, grid: SpatialGrid) -> np.ndarray:
@@ -356,10 +353,11 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 def project_from_grid(samples, basis: SpectralBasis, grid: SpatialGrid) -> ModeCoefficients:
     """Coefficients c_k ~= integral samples(x) conj(v_k(x)) dx, Simpson rule.
 
-    The grid must resolve the highest retained mode; M >= 8N is a sound
-    default for the presets.
+    The grid must span the basis's [0, L] and resolve the highest retained
+    mode; M >= 8N is a sound default.
     """
     y = _vector(samples, complex, "samples", grid.point_count)
+    _require_span(grid.points[0], grid.points[-1], basis, "grid")
     V = _mode_matrix(basis, grid.points)
     vals = _simpson(y[:, None] * np.conj(V), grid.points)
     return _result(vals, basis, "grid projection")
@@ -367,7 +365,6 @@ def project_from_grid(samples, basis: SpectralBasis, grid: SpatialGrid) -> ModeC
 
 # --- JSON: a basis is {"kind", "L", "N", "cA"}, plus "lambdas" for a custom
 # basis; a coefficient file puts "coeffs": [[re, im], ...] before "lambdas".
-# Eigenfunction callables do not round-trip through JSON.
 
 
 def _complex_pairs(pairs, name: str):
@@ -388,13 +385,18 @@ def basis_to_json(basis: SpectralBasis, **fields) -> dict:
     return obj
 
 
-def basis_from_json(obj: dict) -> SpectralBasis:
+def basis_from_json(obj: dict, *fields: str) -> SpectralBasis:
     """The basis that basis_to_json encodes.  A null "cA" takes the default
     shift; a custom basis may omit "N", and otherwise N must be len(lambdas);
-    only a custom basis may hold "lambdas".  The basis's constructor checks
-    each value."""
+    only a custom basis may hold "lambdas".  A key that is neither a basis key
+    nor one of ``fields`` is refused.  The basis's constructor checks each
+    value."""
     if not isinstance(obj, dict):
         raise InvalidArgumentError(f"a basis must be a JSON object, got {obj!r}")
+    known = ("kind", "L", "N", "cA", "lambdas", *fields)
+    unknown = next((key for key in obj if key not in known), None)
+    if unknown is not None:
+        raise InvalidArgumentError(f"unknown key {unknown!r}, not one of {', '.join(known)}")
     kind, L, N, cA = _kind(obj.get("kind"), "kind"), obj.get("L"), obj.get("N"), obj.get("cA")
     if kind != CUSTOM and obj.get("lambdas") is not None:
         raise InvalidArgumentError(f"lambdas are read only for a {CUSTOM} basis, not {kind}")
@@ -425,7 +427,7 @@ def _read_json(path, what: str):
 
 def load_coefficients(path) -> ModeCoefficients:
     obj = _read_json(path, "coefficients")
-    basis = basis_from_json(obj)  # first: it refuses an obj that is not a JSON object
+    basis = basis_from_json(obj, "coeffs")  # first: it refuses an obj that is not a JSON object
     return ModeCoefficients(_complex_pairs(obj.get("coeffs"), "coeffs"), basis)
 
 

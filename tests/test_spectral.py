@@ -1,5 +1,7 @@
 """Bases, coefficient vectors, norms, grid synthesis/projection, JSON and CSV I/O."""
 
+import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -14,6 +16,8 @@ from schrodavg import (
     InvalidArgumentError,
     ModeCoefficients,
     NumericError,
+    SpectralBasis,
+    SpatialGrid,
     Trajectory,
     load_coefficients,
     make_custom_basis,
@@ -38,6 +42,7 @@ from schrodavg.spectral import (
     _norm_weights,
     _weighted_norm,
     _write_csv,
+    basis_from_json,
     basis_to_json,
 )
 
@@ -137,6 +142,55 @@ class TestBasisConstruction:
         b = make_dirichlet_basis(1.0, 3)
         with pytest.raises(ValueError):
             b.lambdas[0] = 0.0
+        with pytest.raises(ValueError):
+            b.labels[0] = 0
+
+    def test_a_basis_is_its_kind_length_eigenvalues_and_shift(self):
+        # labels derive from the kind, and no eigenfunction callable is held
+        assert [f.name for f in dataclasses.fields(SpectralBasis)] == ["kind", "domain_length", "lambdas", "c_A"]
+        assert list(inspect.signature(make_custom_basis).parameters) == ["lambdas", "domain_length", "c_A"]
+
+    @pytest.mark.parametrize("L", [1.0, 2.5, 1e-3])
+    @pytest.mark.parametrize("N", [1, 2, 3, 6, 2**16])
+    def test_presets_bitwise_as_their_former_builders(self, N, L):
+        # the builders' bodies before one closed-form rule served both
+        k = np.arange(1, N + 1)
+        m = (np.arange(N) + 1) // 2
+        m[2::2] *= -1
+        for b, labels, lam in ((make_dirichlet_basis(L, N), k, (k * np.pi / L) ** 2),
+                               (make_periodic_basis(L, N), m, (2.0 * np.pi * m / L) ** 2)):
+            assert b.labels.dtype == labels.dtype and np.array_equal(b.labels, labels)
+            assert b.lambdas.tobytes() == lam.tobytes()
+
+    def test_custom_labels_are_positions(self):
+        assert make_custom_basis([-1.0, 0.0, 7.0]).labels.tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize("kind", ["dirichlet_interval", "periodic_interval"])
+    def test_preset_with_foreign_eigenvalues_refused(self, kind):
+        # the codec writes a preset as (kind, L, N): eigenvalues other than its
+        # closed form would not survive a save and load
+        with pytest.raises(InvalidArgumentError, match="make_custom_basis"):
+            SpectralBasis(kind, 1.0, [5.0, 6.0], None)
+        own = (make_dirichlet_basis if kind == "dirichlet_interval" else make_periodic_basis)(1.0, 3)
+        b = SpectralBasis(kind, 1.0, own.lambdas, None)
+        assert np.array_equal(b.labels, own.labels) and b.c_A == own.c_A
+        # bit for bit: one ulp off, or a signed zero, is foreign too
+        for lam in (np.nextafter(own.lambdas, np.inf), np.r_[-0.0, own.lambdas[1:]]):
+            with pytest.raises(InvalidArgumentError, match="closed-form"):
+                SpectralBasis(kind, 1.0, lam, None)
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_dirichlet_basis(2.5, 7, 0.25),
+        lambda: make_periodic_basis(0.3, 6),
+        lambda: make_custom_basis([-2.0, 0.5, 0.5, 3.0], 4.0),
+    ], ids=["dirichlet", "periodic", "custom"])
+    def test_json_round_trip_is_bitwise(self, make):
+        b = make()
+        back = basis_from_json(basis_to_json(b))
+        assert (back.kind, back.domain_length, back.c_A) == (b.kind, b.domain_length, b.c_A)
+        for name in ("lambdas", "labels"):
+            got, want = getattr(back, name), getattr(b, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestCoefficients:
@@ -505,27 +559,26 @@ class TestGridTransforms:
     def test_custom_without_evaluator_unsupported(self):
         b = make_custom_basis([1.0, 2.0])
         g = uniform_grid(1.0, 9)
-        with pytest.raises(InvalidArgumentError, match="no eigenfunction evaluator"):
+        with pytest.raises(InvalidArgumentError, match="take a dirichlet_interval or periodic_interval basis, not custom"):
             synthesize_on_grid(ModeCoefficients([1.0, 0.0], b), g)
 
-    def test_custom_evaluator_of_the_wrong_shape_refused(self):
-        b = make_custom_basis([1.0, 2.0], eigenfunctions=lambda x: np.ones((x.size, 3)))
-        with pytest.raises(InvalidArgumentError, match=r"shape \(9, 3\), expected \(9, 2\)"):
-            synthesize_on_grid(ModeCoefficients([1.0, 0.0], b), uniform_grid(1.0, 9))
-
-    def test_custom_with_evaluator_matches_preset(self):
-        L, N = 1.0, 4
-        ref = make_dirichlet_basis(L, N, 0.0)
-
-        def modes(x):
-            return np.sqrt(2.0 / L) * np.sin(np.outer(x, np.arange(1, N + 1)) * np.pi / L)
-
-        b = make_custom_basis(ref.lambdas, L, 0.0, eigenfunctions=modes)
-        g = uniform_grid(L, 257)
-        c = np.array([0.3, -0.1j, 0.2, 0.05 + 0.4j])
-        got = synthesize_on_grid(ModeCoefficients(c, b), g)
-        want = synthesize_on_grid(ModeCoefficients(c, ref), g)
-        assert np.abs(got - want).max() < 1e-14
+    def test_projection_refuses_a_grid_that_does_not_span_the_basis(self):
+        # a grid on [0, 1] under a basis on [0, 2] integrated over half the
+        # interval and returned [0.712, 0.674] for [1, 0.5]
+        b = make_dirichlet_basis(2.0, 2)
+        c = ModeCoefficients([1.0, 0.5], b)
+        g = uniform_grid(2.0, 257)
+        assert np.abs(project_from_grid(synthesize_on_grid(c, g), b, g).values - c.values).max() < 1e-14
+        short = uniform_grid(1.0, 257)
+        with pytest.raises(InvalidArgumentError, match=r"grid spans \[0\.0, 1\.0\], not the basis's \[0, 2\.0\]"):
+            project_from_grid(synthesize_on_grid(c, short), b, short)
+        shifted = SpatialGrid(257, g.points + 0.5)
+        with pytest.raises(InvalidArgumentError, match="grid spans"):
+            project_from_grid(np.zeros(257), b, shifted)
+        # the end may miss L by 1e-12 max(1, L) = 2e-12, as the oracle's length may
+        project_from_grid(np.zeros(257), b, SpatialGrid(257, np.linspace(0.0, 2.0 + 1e-12, 257)))
+        with pytest.raises(InvalidArgumentError, match="grid spans"):
+            project_from_grid(np.zeros(257), b, SpatialGrid(257, np.linspace(0.0, 2.0 + 3e-12, 257)))
 
 
 class TestJsonSchema:
@@ -585,6 +638,18 @@ class TestJsonSchema:
                                     "coeffs": [[1, 0], [0, 1]]}))
         with pytest.raises(InvalidArgumentError, match="lambdas"):
             load_coefficients(path)
+
+    def test_unknown_key_refused(self, tmp_path):
+        # "ca" for "cA" loaded with the default shift, c_A = 0, where a config
+        # file refuses the same typo
+        path = tmp_path / "c.json"
+        obj = {"kind": "dirichlet_interval", "L": 1.0, "N": 1, "ca": 5.0, "coeffs": [[1, 0]], "cz": 1}
+        path.write_text(json.dumps(obj))
+        with pytest.raises(InvalidArgumentError, match="unknown key 'ca', not one of kind, L, N, cA, lambdas, coeffs"):
+            load_coefficients(path)
+        del obj["ca"], obj["cz"]
+        path.write_text(json.dumps(obj))
+        assert load_coefficients(path).basis.c_A == 0.0
 
     def test_missing_file_refused(self, tmp_path):
         with pytest.raises(InvalidArgumentError, match="cannot read"):
