@@ -42,7 +42,6 @@ from .spectral import (
     DIRICHLET,
     PERIODIC,
     ModeCoefficients,
-    SpatialGrid,
     SpectralBasis,
     load_coefficients,
     make_custom_basis,
@@ -52,7 +51,6 @@ from .spectral import (
     save_coefficients,
     sobolev_norm,
     synthesize_on_grid,
-    uniform_grid,
     unit_floor_shift,
 )
 
@@ -72,7 +70,6 @@ __all__ = [
     "NumericError",
     "PERIODIC",
     "SchrodavgError",
-    "SpatialGrid",
     "SpectralBasis",
     "Trajectory",
     "ZetaFactors",
@@ -98,7 +95,6 @@ __all__ = [
     "stability_bound",
     "synthesize_on_grid",
     "trajectory_sup_norm",
-    "uniform_grid",
     "unit_floor_shift",
     "zeta_factor",
     "zeta_factors",

@@ -29,8 +29,7 @@ import numpy as np
 
 from .averaging import AveragingParams
 from .errors import InvalidArgumentError, NumericError, _count, _positive, _vector
-from .spectral import DIRICHLET, ModeCoefficients, project_from_grid, synthesize_on_grid, uniform_grid
-from .spectral import _require_finite, _require_span, _trusted
+from .spectral import DIRICHLET, ModeCoefficients, _require_finite, _trusted, project_from_grid, synthesize_on_grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,15 +159,16 @@ def oracle_mu_coeffs(
     basis = xi.basis
     if basis.kind != DIRICHLET:
         raise InvalidArgumentError("grid cross-check supports Dirichlet bases only")
-    _require_span(0.0, cfg.L, basis, "oracle grid")
+    L = basis.domain_length
+    if abs(cfg.L - L) > 1.0e-12 * max(1.0, L):
+        raise InvalidArgumentError(f"oracle grid spans [0, {cfg.L}], not the basis's [0, {L}]")
     if 8 * basis.mode_count > cfg.interior_points:
         raise InvalidArgumentError(
             f"{basis.mode_count} modes need at least {8 * basis.mode_count} interior "
             f"points, got {cfg.interior_points}"
         )
-    full = uniform_grid(cfg.L, cfg.interior_points + 2)
-    samples = synthesize_on_grid(xi, full)
+    samples = synthesize_on_grid(xi, cfg.interior_points + 2)
     averaged = oracle_time_average(_trusted(GridState, values=samples[1:-1]), params, cfg)
     padded = np.zeros(cfg.interior_points + 2, dtype=complex)
     padded[1:-1] = averaged.values
-    return project_from_grid(padded, basis, full)
+    return project_from_grid(padded, basis)

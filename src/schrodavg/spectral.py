@@ -46,8 +46,10 @@ def _wavenumbers(kind: str, N: int) -> np.ndarray:
 
 
 def _closed_form(kind: str, L: float, k: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a preset kind at its wavenumbers k: (pi k / L)^2 or (2 pi m / L)^2."""
-    return (k * np.pi / L) ** 2 if kind == DIRICHLET else (2.0 * np.pi * k / L) ** 2
+    """Eigenvalues of a preset kind at its wavenumbers k: (pi k / L)^2 or (2 pi m / L)^2,
+    nondecreasing; inf where they overflow."""
+    with np.errstate(all="ignore"):  # _preset names an overflow; SpectralBasis refuses it as foreign
+        return (k * np.pi / L) ** 2 if kind == DIRICHLET else (2.0 * np.pi * k / L) ** 2
 
 
 # below this norm, the squares of its coefficients may lose bits to underflow
@@ -143,15 +145,22 @@ class SpectralBasis:
         return int(self.lambdas.size)
 
 
+def _preset(kind: str, L, N, c_A) -> SpectralBasis:
+    """The basis of a preset kind fixed by (L, N), refused where its largest eigenvalue overflows."""
+    L = _positive(L, "L")
+    lam = _closed_form(kind, L, _wavenumbers(kind, _count(N, "N", 1)))
+    if lam[-1] == math.inf:  # the last is the largest
+        raise InvalidArgumentError(f"L = {L!r} with N = {lam.size} overflows the largest {kind} eigenvalue")
+    return SpectralBasis(kind, L, lam, c_A)
+
+
 def make_dirichlet_basis(L: float, N: int, c_A: float | None = None) -> SpectralBasis:
     """Dirichlet Laplacian on [0, L]: lambda_k = (k pi / L)^2, k = 1..N.
 
     Eigenfunctions are v_k(x) = sqrt(2/L) sin(k pi x / L), orthonormal in L2.
     c_A=None applies the default policy ``unit_floor_shift``.
     """
-    L = _positive(L, "L")
-    k = _wavenumbers(DIRICHLET, _count(N, "N", 1))
-    return SpectralBasis(DIRICHLET, L, _closed_form(DIRICHLET, L, k), c_A)
+    return _preset(DIRICHLET, L, N, c_A)
 
 
 def make_periodic_basis(L: float, N: int, c_A: float | None = None) -> SpectralBasis:
@@ -160,9 +169,7 @@ def make_periodic_basis(L: float, N: int, c_A: float | None = None) -> SpectralB
     lambda_m = (2 pi m / L)^2 and v_m(x) = exp(2 pi i m x / L) / sqrt(L).
     The frequency ordering keeps the eigenvalues nondecreasing.
     """
-    L = _positive(L, "L")
-    k = _wavenumbers(PERIODIC, _count(N, "N", 1))
-    return SpectralBasis(PERIODIC, L, _closed_form(PERIODIC, L, k), c_A)
+    return _preset(PERIODIC, L, N, c_A)
 
 
 def make_custom_basis(lambdas, domain_length: float = 1.0, c_A: float | None = None) -> SpectralBasis:
@@ -209,28 +216,6 @@ def _result(values: np.ndarray, basis: SpectralBasis, stage: str) -> ModeCoeffic
     """The ModeCoefficients the package computed in ``stage``, once _require_finite passes them."""
     _require_finite(values, None, stage, "mode")
     return _trusted(ModeCoefficients, values=values, basis=basis)
-
-
-@dataclass(frozen=True, eq=False)
-class SpatialGrid:
-    """Uniform partition of [0, L], endpoints included."""
-
-    point_count: int
-    points: np.ndarray
-
-    def __post_init__(self):
-        n = _count(self.point_count, "point_count", 3)
-        pts = _vector(self.points, float, "points", n)
-        if np.any(np.diff(pts) <= 0):
-            raise InvalidArgumentError("points must be strictly increasing")
-        object.__setattr__(self, "point_count", n)
-        object.__setattr__(self, "points", pts)
-
-
-def uniform_grid(L: float, M: int) -> SpatialGrid:
-    """M equispaced points on [0, L] including both endpoints."""
-    M = _count(M, "M", 3)
-    return SpatialGrid(M, np.linspace(0.0, _positive(L, "L"), M))
 
 
 def _norm_weights(basis: SpectralBasis, order: int) -> np.ndarray | None:
@@ -307,17 +292,17 @@ def _mode_matrix(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:
     raise InvalidArgumentError(f"grid operations take a {DIRICHLET} or {PERIODIC} basis, not {CUSTOM}")
 
 
-def _require_span(a: float, b: float, basis: SpectralBasis, what: str) -> None:
-    """InvalidArgumentError unless ``what`` spans the basis's [0, L]: a = 0, b = L to within 1e-12 max(1, L)."""
-    L = basis.domain_length
-    if a != 0.0 or abs(b - L) > 1.0e-12 * max(1.0, L):
-        raise InvalidArgumentError(f"{what} spans [{a}, {b}], not the basis's [0, {L}]")
+def _grid(basis: SpectralBasis, M) -> np.ndarray:
+    """The M equispaced points of the basis's [0, L], both ends included."""
+    return np.linspace(0.0, basis.domain_length, _count(M, "M", 3))
 
 
-def synthesize_on_grid(c: ModeCoefficients, grid: SpatialGrid) -> np.ndarray:
-    """Pointwise values sum_k c_k v_k(x_j) on the grid."""
-    V = _mode_matrix(c.basis, grid.points)
-    return V @ c.values
+def synthesize_on_grid(c: ModeCoefficients, M: int) -> np.ndarray:
+    """Pointwise values sum_k c_k v_k(x_j) at the M equispaced points x_j of [0, L]."""
+    with np.errstate(all="ignore"):  # inf and NaN are named just below
+        values = _mode_matrix(c.basis, _grid(c.basis, M)) @ c.values
+    _require_finite(values, None, "grid synthesis", "grid point")
+    return values
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -350,16 +335,18 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return result
 
 
-def project_from_grid(samples, basis: SpectralBasis, grid: SpatialGrid) -> ModeCoefficients:
-    """Coefficients c_k ~= integral samples(x) conj(v_k(x)) dx, Simpson rule.
+def project_from_grid(samples, basis: SpectralBasis) -> ModeCoefficients:
+    """Coefficients c_k ~= integral samples(x) conj(v_k(x)) dx by the Simpson
+    rule, from samples at the M = len(samples) equispaced points of [0, L].
 
-    The grid must span the basis's [0, L] and resolve the highest retained
-    mode; M >= 8N is a sound default.
+    The samples must resolve the highest retained mode; M >= 8N is a sound default.
     """
-    y = _vector(samples, complex, "samples", grid.point_count)
-    _require_span(grid.points[0], grid.points[-1], basis, "grid")
-    V = _mode_matrix(basis, grid.points)
-    vals = _simpson(y[:, None] * np.conj(V), grid.points)
+    y = _vector(samples, complex, "samples", least=3)
+    x = _grid(basis, y.size)
+    with np.errstate(all="ignore"):  # _result names an overflow
+        if x[1] * x[1] == math.inf:  # else the odd points' Simpson weight hsum^2 / (h0 h1) reads 0
+            raise NumericError(f"grid projection overflows: the spacing {x[1]:.17g} squared is not finite")
+        vals = _simpson(y[:, None] * np.conj(_mode_matrix(basis, x)), x)
     return _result(vals, basis, "grid projection")
 
 

@@ -15,7 +15,6 @@ from schrodavg import (
     GridState,
     InvalidArgumentError,
     ModeCoefficients,
-    SpatialGrid,
     Trajectory,
     apply_time_average,
     cn_step,
@@ -27,7 +26,7 @@ from schrodavg import (
     propagate,
     reconstruct_solution,
     sample_trajectory,
-    uniform_grid,
+    synthesize_on_grid,
     unit_floor_shift,
     zeta_factor,
 )
@@ -42,8 +41,7 @@ XI = ModeCoefficients([1.0, 0.5j], make_dirichlet_basis(1.0, 2))
 COUNTS = {
     "N (dirichlet)": lambda n: make_dirichlet_basis(1.0, n),
     "N (periodic)": lambda n: make_periodic_basis(1.0, n),
-    "M": lambda n: uniform_grid(1.0, n),
-    "point_count": lambda n: SpatialGrid(n, np.linspace(0.0, 1.0, 4)),
+    "M": lambda n: synthesize_on_grid(XI, n),
     "interior_points": lambda n: FdConfig(n, 0.01),
     "steps": lambda n: sample_trajectory(XI, 1.0, n),
 }
@@ -52,7 +50,6 @@ POSITIVE = {
     "domain_length": lambda x: make_custom_basis([1.0], x),
     "L (dirichlet)": lambda x: make_dirichlet_basis(x, 4),
     "L (periodic)": lambda x: make_periodic_basis(x, 4),
-    "L (grid)": lambda x: uniform_grid(x, 8),
     "dt": lambda x: FdConfig(16, x),
     "L (fd)": lambda x: FdConfig(16, 0.01, x),
     "T (trajectory)": lambda x: sample_trajectory(XI, x, 4),
@@ -63,7 +60,6 @@ VECTORS = {
     "coefficients": (lambda v: ModeCoefficients(v, make_dirichlet_basis(1.0, 3)), "values"),
     "grid state": (GridState, "values"),
     "lambdas": (make_custom_basis, "lambdas"),
-    "points": (lambda v: SpatialGrid(3, v), "points"),
 }
 
 
@@ -89,7 +85,6 @@ def test_integral_numbers_count(arg, n):
 def test_counts_are_kept_as_ints():
     assert make_dirichlet_basis(1.0, 4.0).mode_count == 4
     assert type(FdConfig(4.0, 0.01).interior_points) is int
-    assert type(SpatialGrid(4.0, np.linspace(0.0, 1.0, 4)).point_count) is int
     assert sample_trajectory(XI, 1.0, 4.0).times.size == 5
 
 
@@ -137,16 +132,11 @@ def test_step_budget_is_inclusive():
 
 
 @pytest.mark.parametrize("bad", [
-    np.where(np.arange(33) == 5, np.nan, 0.0), np.ones((33, 1)), ["a"] * 33, np.ones(32), np.ones(34),
-], ids=["nan", "2-d", "strings", "short", "long"])
+    np.where(np.arange(33) == 5, np.nan, 0.0), np.ones((33, 1)), ["a"] * 33, np.ones(2),
+], ids=["nan", "2-d", "strings", "short"])
 def test_grid_samples_refused(bad):
-    basis, grid = make_dirichlet_basis(1.0, 4), uniform_grid(1.0, 33)
-    refused(lambda v: project_from_grid(v, basis, grid), bad, "samples")
-
-
-@pytest.mark.parametrize("bad", [[0.0, 0.5, 0.5], [1.0, 0.5, 0.0]], ids=["repeated", "decreasing"])
-def test_grid_points_must_increase(bad):
-    refused(lambda v: SpatialGrid(3, v), bad, "points")
+    basis = make_dirichlet_basis(1.0, 4)
+    refused(lambda v: project_from_grid(v, basis), bad, "samples")
 
 
 # the scalars that an entry point reads as a number, by the argument's name: a

@@ -196,6 +196,15 @@ class TestExitCodes:
         diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert diag["error"] == "config-error"
 
+    def test_overflowing_preset_names_L_and_N(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"basis": {"L": 1e-160}}')
+        assert main(["conditioning", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "config-error",
+            "message": "L = 1e-160 with N = 64 overflows the largest dirichlet_interval eigenvalue",
+        }
+
     def test_overflowing_norm_exits_four(self, tmp_path):
         # lambda^2 = 1e600 overflows the order-2 weight of mu_h2: one
         # numeric-error line on stderr, without numpy's overflow warning

@@ -149,9 +149,22 @@ class TestOracleMuCoeffs:
 
     def test_domain_length_guard(self):
         b = make_dirichlet_basis(2.0, 2, 0.0)
-        with pytest.raises(InvalidArgumentError):
-            oracle_mu_coeffs(ModeCoefficients([1.0, 0.0], b), AveragingParams(1.0, 1.0),
-                             FdConfig(64, 0.05, L=1.0))
+        xi, params = ModeCoefficients([1.0, 0.0], b), AveragingParams(1.0, 1.0)
+        with pytest.raises(InvalidArgumentError, match=r"^oracle grid spans \[0, 1\.0\], not the basis's \[0, 2\.0\]$"):
+            oracle_mu_coeffs(xi, params, FdConfig(64, 0.05, L=1.0))
+        # the length may miss L by 1e-12 max(1, L) = 2e-12
+        oracle_mu_coeffs(xi, params, FdConfig(64, 0.05, L=2.0 + 1e-12))
+        with pytest.raises(InvalidArgumentError, match="oracle grid spans"):
+            oracle_mu_coeffs(xi, params, FdConfig(64, 0.05, L=2.0 + 3e-12))
+
+    def test_matches_closed_form_on_a_longer_interval(self):
+        # the oracle's grid and the transforms' grid are both the basis's [0, 2]
+        b = make_dirichlet_basis(2.0, 2)
+        xi = ModeCoefficients([1.0, 0.5], b)
+        params = AveragingParams(1.0, 1.0)
+        got = oracle_mu_coeffs(xi, params, FdConfig(256, 1e-3, 2.0)).values
+        want = apply_time_average(xi, params).values
+        assert (np.abs(got - want) / np.abs(want)).max() <= 1e-2  # test 03's bound, per mode
 
     def test_resolution_guard(self):
         b = make_dirichlet_basis(1.0, 16, 0.0)

@@ -18,6 +18,21 @@ def test_every_export_resolves_once():
     assert not missing, f"__all__ names not defined on the package: {missing}"
 
 
+def test_public_names_are_pinned():
+    # an added or removed export is a test edit, and the surface stays within 44 names
+    assert sorted(schrodavg.__all__) == [
+        "AveragingParams", "CUSTOM", "ConditioningReport", "DIRICHLET", "DegenerateModeError",
+        "FdConfig", "GridState", "IllPosedError", "InvalidArgumentError", "ModeCoefficients",
+        "NumericError", "PERIODIC", "SchrodavgError", "SpectralBasis", "Trajectory", "ZetaFactors",
+        "apply_time_average", "cn_step", "conditioning_report", "forward_smoothing_constant",
+        "load_coefficients", "make_custom_basis", "make_dirichlet_basis", "make_periodic_basis",
+        "oracle_mu_coeffs", "oracle_time_average", "potential_shift_solution", "project_from_grid",
+        "propagate", "reconstruct_solution", "recover_initial", "recover_via_shift", "sample_trajectory",
+        "save_coefficients", "sobolev_norm", "stability_bound", "synthesize_on_grid",
+        "trajectory_sup_norm", "unit_floor_shift", "zeta_factor", "zeta_factors",
+    ]
+
+
 def test_readme_quick_start_runs():
     # the README's first example, run as written with warnings as errors, so
     # a renamed or removed export cannot leave it stale

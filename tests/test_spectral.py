@@ -17,7 +17,6 @@ from schrodavg import (
     ModeCoefficients,
     NumericError,
     SpectralBasis,
-    SpatialGrid,
     Trajectory,
     load_coefficients,
     make_custom_basis,
@@ -29,7 +28,6 @@ from schrodavg import (
     sobolev_norm,
     synthesize_on_grid,
     trajectory_sup_norm,
-    uniform_grid,
     unit_floor_shift,
 )
 from schrodavg.averaging import ZetaFactors, zeta_to_csv
@@ -178,6 +176,19 @@ class TestBasisConstruction:
         for lam in (np.nextafter(own.lambdas, np.inf), np.r_[-0.0, own.lambdas[1:]]):
             with pytest.raises(InvalidArgumentError, match="closed-form"):
                 SpectralBasis(kind, 1.0, lam, None)
+
+    @pytest.mark.parametrize("make, L, N", [
+        (make_dirichlet_basis, 1e-160, 1), (make_periodic_basis, 1e-160, 2), (make_dirichlet_basis, 1e-150, 10**6),
+    ], ids=["dirichlet", "periodic", "dirichlet N = 10^6"])
+    def test_overflowing_closed_form_names_L_and_N(self, make, L, N):
+        # (pi N / L)^2 or (2 pi m / L)^2 beyond the largest double: the builder
+        # names its own arguments, not "lambdas", and numpy does not warn
+        with pytest.raises(InvalidArgumentError, match=rf"^L = {L!r} with N = {N} overflows the largest \w+ eigenvalue$"):
+            make(L, N)
+        assert make_periodic_basis(1e-160, 1).lambdas.tolist() == [0.0]  # m = 0 alone stays finite
+        # by hand, the overflowing closed form is not the eigenvalues given
+        with pytest.raises(InvalidArgumentError, match="closed-form lambdas; use make_custom_basis"):
+            SpectralBasis("dirichlet_interval", L, [1.0], None)
 
     @pytest.mark.parametrize("make", [
         lambda: make_dirichlet_basis(2.5, 7, 0.25),
@@ -467,36 +478,31 @@ class TestDistinctMap:
 class TestGridTransforms:
     def test_first_mode_at_midpoint(self):
         b = make_dirichlet_basis(1.0, 2, 0.0)
-        g = uniform_grid(1.0, 5)  # x = 0, .25, .5, .75, 1
-        vals = synthesize_on_grid(ModeCoefficients([1.0, 0.0], b), g)
+        vals = synthesize_on_grid(ModeCoefficients([1.0, 0.0], b), 5)  # x = 0, .25, .5, .75, 1
         assert vals[2] == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
     def test_second_mode_node_at_midpoint(self):
         b = make_dirichlet_basis(1.0, 2, 0.0)
-        g = uniform_grid(1.0, 5)
-        vals = synthesize_on_grid(ModeCoefficients([0.0, 1.0], b), g)
+        vals = synthesize_on_grid(ModeCoefficients([0.0, 1.0], b), 5)
         assert abs(vals[2]) < 1e-15
 
     def test_zero_coefficients_zero_samples(self):
         b = make_dirichlet_basis(1.0, 4, 0.0)
-        g = uniform_grid(1.0, 17)
-        assert np.all(synthesize_on_grid(ModeCoefficients(np.zeros(4), b), g) == 0)
+        assert np.all(synthesize_on_grid(ModeCoefficients(np.zeros(4), b), 17) == 0)
 
     def test_projection_round_trip(self):
         b = make_dirichlet_basis(1.0, 8, 0.0)
-        g = uniform_grid(1.0, 1024)
         rng = np.random.default_rng(7)
         c = ModeCoefficients(rng.normal(size=8) + 1j * rng.normal(size=8), b)
-        back = project_from_grid(synthesize_on_grid(c, g), b, g)
+        back = project_from_grid(synthesize_on_grid(c, 1024), b)
         assert np.abs(back.values - c.values).max() < 1e-6
 
     def test_cross_mode_orthonormality(self):
         b = make_dirichlet_basis(1.0, 6, 0.0)
-        g = uniform_grid(1.0, 1024)
         for k in range(6):
             e = np.zeros(6)
             e[k] = 1.0
-            p = project_from_grid(synthesize_on_grid(ModeCoefficients(e, b), g), b, g)
+            p = project_from_grid(synthesize_on_grid(ModeCoefficients(e, b), 1024), b)
             assert np.abs(p.values - e).max() < 1e-6
 
     def test_band_limited_round_trip_is_exact(self):
@@ -506,8 +512,7 @@ class TestGridTransforms:
         rng = np.random.default_rng(8)
         c = ModeCoefficients(rng.normal(size=6) + 1j * rng.normal(size=6), b)
         for M in (65, 257, 1025):
-            g = uniform_grid(1.0, M)
-            back = project_from_grid(synthesize_on_grid(c, g), b, g)
+            back = project_from_grid(synthesize_on_grid(c, M), b)
             assert np.abs(back.values - c.values).max() < 5e-15
 
     def test_projection_has_simpson_order_on_smooth_data(self):
@@ -517,68 +522,48 @@ class TestGridTransforms:
         exact = np.sqrt(2.0) * 4.0 / np.pi**3  # integral of x(1-x) sin(pi x), scaled
 
         def err(M):
-            g = uniform_grid(1.0, M)
-            y = g.points * (1.0 - g.points)
-            return abs(project_from_grid(y.astype(complex), b, g).values[0] - exact)
+            x = np.linspace(0.0, 1.0, M)
+            return abs(project_from_grid((x * (1.0 - x)).astype(complex), b).values[0] - exact)
 
         assert err(17) / err(33) > 8.0
         assert err(33) / err(65) > 8.0
 
+    @pytest.mark.parametrize("L", [1.0, 2.5])
     @pytest.mark.parametrize("make", [make_dirichlet_basis, make_periodic_basis])
     @pytest.mark.parametrize("M", [3, 4, 5, 6, 7, 8, 9, 10, 258, 2050])
-    def test_projection_bitwise_equals_scipy_simpson(self, make, M):
+    def test_projection_bitwise_equals_scipy_simpson(self, make, M, L):
         # the in-package rule replaces scipy.integrate.simpson, even-count end
         # correction included, without changing a single bit
-        b = make(1.0, 5)
-        g = uniform_grid(1.0, M)
+        b = make(L, 5)
+        x = np.linspace(0.0, L, M)
         rng = np.random.default_rng(M)
         y = rng.normal(size=M) + 1j * rng.normal(size=M)
-        want = simpson(y[:, None] * np.conj(_mode_matrix(b, g.points)), x=g.points, axis=0)
-        assert np.array_equal(project_from_grid(y, b, g).values, want)
+        want = simpson(y[:, None] * np.conj(_mode_matrix(b, x)), x=x, axis=0)
+        assert np.array_equal(project_from_grid(y, b).values, want)
 
     def test_periodic_round_trip(self):
         b = make_periodic_basis(1.0, 7)
-        g = uniform_grid(1.0, 1024)
         rng = np.random.default_rng(9)
         c = ModeCoefficients(rng.normal(size=7) + 1j * rng.normal(size=7), b)
-        back = project_from_grid(synthesize_on_grid(c, g), b, g)
+        back = project_from_grid(synthesize_on_grid(c, 1024), b)
         assert np.abs(back.values - c.values).max() < 1e-6
 
     def test_zero_samples_project_to_zero(self):
         b = make_dirichlet_basis(1.0, 3, 0.0)
-        g = uniform_grid(1.0, 65)
-        p = project_from_grid(np.zeros(65, dtype=complex), b, g)
+        p = project_from_grid(np.zeros(65, dtype=complex), b)
         assert np.all(p.values == 0)
-
-    def test_length_mismatch_rejected(self):
-        b = make_dirichlet_basis(1.0, 3, 0.0)
-        g = uniform_grid(1.0, 65)
-        with pytest.raises(InvalidArgumentError):
-            project_from_grid(np.zeros(64), b, g)
 
     def test_custom_without_evaluator_unsupported(self):
         b = make_custom_basis([1.0, 2.0])
-        g = uniform_grid(1.0, 9)
         with pytest.raises(InvalidArgumentError, match="take a dirichlet_interval or periodic_interval basis, not custom"):
-            synthesize_on_grid(ModeCoefficients([1.0, 0.0], b), g)
+            synthesize_on_grid(ModeCoefficients([1.0, 0.0], b), 9)
 
-    def test_projection_refuses_a_grid_that_does_not_span_the_basis(self):
-        # a grid on [0, 1] under a basis on [0, 2] integrated over half the
-        # interval and returned [0.712, 0.674] for [1, 0.5]
-        b = make_dirichlet_basis(2.0, 2)
+    @pytest.mark.parametrize("make", [make_dirichlet_basis, make_periodic_basis])
+    def test_round_trip_spans_the_basis_length(self, make):
+        # both transforms take their points on the basis's [0, 2], not on [0, 1]
+        b = make(2.0, 2)
         c = ModeCoefficients([1.0, 0.5], b)
-        g = uniform_grid(2.0, 257)
-        assert np.abs(project_from_grid(synthesize_on_grid(c, g), b, g).values - c.values).max() < 1e-14
-        short = uniform_grid(1.0, 257)
-        with pytest.raises(InvalidArgumentError, match=r"grid spans \[0\.0, 1\.0\], not the basis's \[0, 2\.0\]"):
-            project_from_grid(synthesize_on_grid(c, short), b, short)
-        shifted = SpatialGrid(257, g.points + 0.5)
-        with pytest.raises(InvalidArgumentError, match="grid spans"):
-            project_from_grid(np.zeros(257), b, shifted)
-        # the end may miss L by 1e-12 max(1, L) = 2e-12, as the oracle's length may
-        project_from_grid(np.zeros(257), b, SpatialGrid(257, np.linspace(0.0, 2.0 + 1e-12, 257)))
-        with pytest.raises(InvalidArgumentError, match="grid spans"):
-            project_from_grid(np.zeros(257), b, SpatialGrid(257, np.linspace(0.0, 2.0 + 3e-12, 257)))
+        assert np.abs(project_from_grid(synthesize_on_grid(c, 257), b).values - c.values).max() < 1e-14
 
 
 class TestJsonSchema:
