@@ -150,11 +150,13 @@ SCALARS = {
 }
 PARAMS = AveragingParams(1.0, 1.0)
 # vectors that no owner keeps as given: a call that passes v as that vector;
-# [1] is a valid value of each, a vector of one value
+# [1] is a valid value of each but the grid samples, which are at least 3
+# (test_grid_samples_refused)
 LOOSE_VECTORS = {
     "lambdas": unit_floor_shift,
     "times": lambda v: reconstruct_solution(apply_time_average(XI, PARAMS), PARAMS, v),
     "times (Trajectory)": lambda v: Trajectory(v, np.ones((3, 2)), XI.basis),
+    "samples": lambda v: project_from_grid(v, XI.basis),
 }
 
 
