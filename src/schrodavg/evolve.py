@@ -179,13 +179,12 @@ def trajectory_sup_norm(traj: Trajectory, order: int) -> float:
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write rows t,k,re,im through the shared 17g writer, plus a basis sidecar.
 
-    Each time is formatted once and broadcast over its N rows, with no column
-    copied.  The sidecar, the basis as spectral.basis_to_json encodes it,
-    lands next to the CSV with suffix ``.meta.json``.
+    Times and mode numbers are broadcast over the states, no column copied,
+    and the writer formats a time once per block.  The sidecar, the basis as
+    spectral.basis_to_json encodes it, lands next to the CSV with suffix ``.meta.json``.
     """
     path = Path(path)
     s = traj.states
-    times = np.array([f"{t:.17g}" for t in traj.times.tolist()])
-    t, k = np.broadcast_arrays(times[:, None], np.arange(1, s.shape[1] + 1))
+    t, k = np.broadcast_arrays(traj.times[:, None], np.arange(1, s.shape[1] + 1))
     _write_csv(path, "t,k,re,im", [t, k, s.real, s.imag])
     path.with_suffix(".meta.json").write_text(json.dumps(basis_to_json(traj.basis), indent=2) + "\n")

@@ -283,13 +283,18 @@ def sobolev_norm(c: ModeCoefficients, order: int) -> float:
 
 
 def _mode_matrix(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:
-    """Sample matrix V with V[j, k] = v_k(x_j) of a preset's closed-form eigenfunctions."""
-    L = basis.domain_length
-    if basis.kind == DIRICHLET:
-        return np.sqrt(2.0 / L) * np.sin(np.outer(x, basis.labels) * (np.pi / L))
-    if basis.kind == PERIODIC:
+    """Sample matrix V with V[j, k] = v_k(x_j) of a preset's closed-form eigenfunctions at
+    points x of [0, L]; NumericError where the largest phase, L max|k| (2 pi L max|k|), overflows."""
+    L, periodic = basis.domain_length, basis.kind == PERIODIC
+    if basis.kind == CUSTOM:
+        raise InvalidArgumentError(f"grid operations take a {DIRICHLET} or {PERIODIC} basis, not {CUSTOM}")
+    top = int(np.abs(basis.labels).max())
+    if (2.0 * np.pi if periodic else 1.0) * (L * top) == math.inf:
+        raise NumericError(f"grid sample phases overflow: L = {L!r} times {'2 pi times ' * periodic}"
+                           f"mode label {top} is not finite")
+    if periodic:
         return np.exp(2j * np.pi * np.outer(x, basis.labels) / L) / np.sqrt(L)
-    raise InvalidArgumentError(f"grid operations take a {DIRICHLET} or {PERIODIC} basis, not {CUSTOM}")
+    return np.sqrt(2.0 / L) * np.sin(np.outer(x, basis.labels) * (np.pi / L))
 
 
 def _grid(basis: SpectralBasis, M) -> np.ndarray:
@@ -420,29 +425,105 @@ def load_coefficients(path) -> ModeCoefficients:
 
 # --- CSV: a header line, then one row per index of equal-length columns -----
 
-_CSV_BLOCK_ROWS = 4096
+_CSV_BLOCK_ROWS = 1024
+_POW5 = 5 ** np.arange(28, dtype=np.uint64)  # 5^(16 - q) for a first guess q >= -11, each < 2^63
+
+
+def _csv_tables():
+    """"d.d.d.d." of 0..9999 as words; for each decimal exponent q of _format17's
+    range, -10..15, the 48-byte template "-0.000" d0 "." d1 "." ... d16 "." "e-XX"
+    <separator> <pad> as 6 words; per (q, nd digits kept), the mask of the bytes %g
+    writes; and, at 10000 j + c, 4j + the digits of c up to its last nonzero one."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T
+    pairs = np.full((digits.shape[0], 8), ord("."), np.uint8)
+    pairs[:, ::2] = digits + ord("0")
+    q = np.arange(-10, 16)
+    template = b"".join(b"-0.000\0." + b"0." * 16 + b"e%+03d" % e + bytes(4) for e in q)
+    nd, pos, q = np.arange(18)[:, None], np.arange(48), q[:, None, None]
+    i = (pos - 6) // 2  # digit i sits at 6 + 2i, a decimal point slot after it
+    fixed = q >= -4  # %g's fixed notation, for q < 17
+    digit = (pos >= 6) & (pos <= 38) & (pos % 2 == 0) & (i < np.maximum(nd, q + 1))
+    point = (pos > 6) & (pos % 2 == 1) & (i == np.where(q >= 0, q, np.where(fixed, -1, 0))) & (i < nd - 1)
+    zeros = fixed & (q < 0) & (pos >= 1) & (pos < 2 - q)  # "0." and -q - 1 zeros
+    keep = (pos == 0) | digit | point | zeros | (~fixed & (pos >= 40) & (pos < 44))
+    n = ((digits > 0) * np.arange(1, 5, dtype=np.int8)).max(1)
+    last = np.where(n > 0, n + np.arange(0, 16, 4, dtype=np.int8)[:, None], 0)
+    return (pairs.reshape(-1).view("<u8"), np.frombuffer(template, "<u8").reshape(-1, 6),
+            (keep * np.uint8(255)).reshape(-1, 48).view("<u8"), last.reshape(-1))
+
+
+_PAIRS, _TEMPLATE, _KEEP, _LAST = _csv_tables()
+
+
+def _scaled(M, E, q):
+    """floor(M 2^E 10^(16 - q)) for M < 2^53 and 0 <= 16 - q <= 27, and whether rounding half to
+    even adds one: M 5^(16 - q) is formed in 128 bits from 32-bit halves, then scaled by 2^(E + 16 - q)."""
+    P = _POW5[16 - q]
+    Mh, Ml, Ph, Pl = M >> 32, M & 0xFFFFFFFF, P >> 32, P & 0xFFFFFFFF
+    mid, lo = Mh * Pl + Ml * Ph, Ml * Pl
+    low = lo + (mid << 32)
+    high = Mh * Ph + (mid >> 32) + (low < lo)
+    n = q - 16 - E  # at most 63; at n <= 0 the shift is an exact left shift
+    s = np.maximum(n, 0).astype(np.uint64)
+    D = ((high << (64 - s)) | (low >> s)) << np.maximum(-n, 0).astype(np.uint64)
+    rest, half = (low & ((1 << s) - 1)) << 1, 1 << s  # twice the bits shifted out, and 2^s
+    return D, (rest > half) | ((rest == half) & (D & 1 == 1))
+
+
+def _format17(x):
+    """The uint8 matrix whose row i holds the bytes of '%.17g' % x[i] and
+    zeros, with column 44 free for a separator.  The digits of a finite
+    1e-10 <= |x[i]| < 1e16 are computed exactly; the others go through one '%'."""
+    ok = (abs(x) >= 1e-10) & (abs(x) < 1e16)
+    if not ok.all():
+        text = np.empty((x.size, 48), np.uint8)
+        bad = np.frombuffer((("%-48.17g" * int(x.size - ok.sum())) % tuple(x[~ok].tolist())).encode(), np.uint8)
+        text[~ok], text[ok] = (bad * (bad > 32)).reshape(-1, 48), _format17(x[ok])  # spaces pad to 48
+        return text
+    f, e = np.frexp(abs(x))
+    M, E = (f * 2.0**53).astype(np.uint64), e.astype(np.int64) - 53
+    q = np.floor(np.log10(abs(x))).astype(np.int64)
+    D, up = _scaled(M, E, q)
+    if ((D < 10**16) | (D >= 10**17)).any():  # log10 was one off, next to a power of ten
+        q += np.where(D < 10**16, -1, D >= 10**17)
+        D, up = _scaled(M, E, q)
+    D = (D + up).astype(np.int64)  # never 10^17: no double in the range is within 5e-18 below 10^(q+1)
+    head = np.stack([D // 10**e for e in (16, 12, 8, 4, 0)])
+    chunks = head[1:] - head[:-1] * 10000  # the 4-digit chunks after the first digit
+    last = np.take(_LAST, chunks + np.arange(0, 40000, 10000)[:, None])
+    nd = 1 + last.max(axis=0)  # digits up to the last nonzero one
+    text = np.take(_TEMPLATE, q + 10, axis=0)
+    text[:, 0] |= (head[0] + ord("0")).astype(np.uint64) << 48  # d0 is byte 6
+    text[:, 1:5] = np.take(_PAIRS, chunks.T)
+    text &= np.take(_KEEP, (q + 10) * 18 + nd, axis=0)
+    text[:, 0] &= np.where(x < 0, np.uint64(2**64 - 1), np.uint64(2**64 - 256))  # byte 0 is "-"
+    return text.view(np.uint8)
 
 
 def _write_csv(path, header: str, columns) -> None:
-    """Write ``header`` and the rows of ``columns``, arrays or sequences of one
-    1-d or 2-d shape whose values in C order are the rows.  By dtype, strings
-    and objects print as %s, integers as %d and the rest as %.17g, which
-    round-trips a double.  Only a block of at most _CSV_BLOCK_ROWS values of
-    one row is held as Python values and text, formatted by one %-operation."""
+    """Write ``header`` and the rows of ``columns``, arrays or sequences of real numbers (integers up to
+    2^53 in magnitude, which '%.17g' writes as '%d' does) of one 1-d or 2-d shape whose values in C order
+    are the rows, as _format17 writes them, in blocks of at most _CSV_BLOCK_ROWS values of a row or of whole
+    short rows; a column with a zero stride along a row (trajectory_to_csv's times) is formatted once a block."""
     cols = [np.atleast_2d(c) for c in columns]
     if len({c.shape for c in cols}) != 1 or cols[0].ndim != 2:
         raise InvalidArgumentError("CSV columns must share one 1-d or 2-d shape")
+    if any(c.dtype.kind not in "iuf" for c in cols):
+        raise InvalidArgumentError("CSV columns must hold real numbers")
+    if not all(((c >= -(2**53)) & (c <= 2**53)).all() for c in cols if c.dtype.kind in "iu"):
+        raise InvalidArgumentError("CSV integers must lie in [-2^53, 2^53], where they are doubles")
     outer, inner = cols[0].shape
-    width = len(cols)
-    row_fmt = ",".join(
-        "%s" if c.dtype.kind in "UO" else "%d" if c.dtype.kind in "iu" else "%.17g" for c in cols
-    ) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i in range(outer):
+    rows = max(1, _CSV_BLOCK_ROWS // max(inner, 1))
+    sep = np.frombuffer(b"," * (len(cols) - 1) + b"\n", np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for i in range(0, outer, rows):
             for a in range(0, inner, _CSV_BLOCK_ROWS):
                 m = min(_CSV_BLOCK_ROWS, inner - a)
-                flat = [None] * (width * m)
-                for j, c in enumerate(cols):
-                    flat[j::width] = c[i, a : a + m].tolist()
-                fh.write((row_fmt * m) % tuple(flat))
+                parts = [c[i : i + rows, a : a + m] if c.strides[1] else c[i : i + rows, a : a + 1] for c in cols]
+                text = _format17(np.concatenate([p.ravel() for p in parts], dtype=float))
+                ends = np.cumsum([p.size for p in parts])
+                out = np.stack([np.broadcast_to(text[e - p.size : e].reshape(*p.shape, 48), (len(p), m, 48))
+                                for p, e in zip(parts, ends)], axis=2)
+                out[..., 44] = sep
+                fh.write(np.compress(out.ravel() != 0, out))

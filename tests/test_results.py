@@ -17,6 +17,7 @@ from schrodavg import (
     cn_step,
     make_dirichlet_basis,
     make_periodic_basis,
+    oracle_mu_coeffs,
     oracle_time_average,
     project_from_grid,
     propagate,
@@ -43,6 +44,14 @@ WARNS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
     # x_4 = 0.375 is the first point where sqrt(2) sin(pi x) > 1, so 1.7e308 times it overflows
     pytest.param(lambda: synthesize_on_grid(ModeCoefficients([1.7e308, 0.0], make_dirichlet_basis(1.0, 2)), 9),
                  "grid synthesis overflows: grid point 4", id="synthesize_on_grid"),
+    # the phases x k of the sample matrix overflow at x = L, not the samples: refused before it is built
+    pytest.param(lambda: synthesize_on_grid(ModeCoefficients([1.0, 0.0], make_dirichlet_basis(1e308, 2)), 9),
+                 "grid sample phases overflow: L = 1e[+]308 times mode label 2", id="phase L k"),
+    pytest.param(lambda: synthesize_on_grid(ModeCoefficients([1.0, 0.0], make_periodic_basis(1e308, 2)), 9),
+                 "grid sample phases overflow: L = 1e[+]308 times 2 pi times mode label 1", id="phase 2 pi L k"),
+    pytest.param(lambda: oracle_mu_coeffs(ModeCoefficients([1.0, 0.0], make_dirichlet_basis(1e308, 2)),
+                                          AveragingParams(1.0, 1.0), FdConfig(64, 0.05, 1e308)),
+                 "grid sample phases overflow: L = 1e[+]308 times mode label 2", id="oracle phase"),
     pytest.param(lambda: project_from_grid(np.full(33, 1e308), DIRICHLET_4),
                  "grid projection overflows: mode 1", id="project_from_grid"),
     # h = 1e200 / 256, and h0 h1 overflows: Simpson's odd-point weight read 0, a third of each coefficient

@@ -4,13 +4,18 @@ import dataclasses
 import inspect
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import simpson
 
+import schrodavg
 from conftest import runs_of_equal_eigenvalues
 from schrodavg import (
     InvalidArgumentError,
@@ -668,12 +673,26 @@ def assert_same_text(got, want):
         pytest.fail(f"line {i} differs: {g[i:i + 1]!r} != {w[i:i + 1]!r}")
 
 
+_POWERS_OF_TEN = [float(f"1e{p}") for p in range(-10, 16)]  # each inside _format17's range
+
+
 class TestCsvWriter:
     SPECIAL = [
         np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
         2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
         1e-5, 9.9999999999999995e-5, 1e-4, 1e16, 1e17, -1e17, 0.1, 1.0 / 3.0,
+        # the edges of _format17's range, and each power of ten in it, +-1 ulp
+        *(np.nextafter(v, to) for v in (1e-10, 1e16) for to in (0.0, np.inf)),
+        *(np.nextafter(v, to) for v in _POWERS_OF_TEN for to in (0.0, np.inf)),
+        *_POWERS_OF_TEN, -1e-10, -9999999999999998.0,
+        # rounds up to 10^17 at 17 digits ("1e-14", from below); no double in
+        # _format17's range does
+        1e-14,
+        # dyadic ties at the 18th digit, ...6.75 rounding up and ...6.25 down
+        4938271560493827 / 4, 4938271560493825 / 4,
     ]
+    # the integers the writer takes end at +-2^53, the last before doubles skip one
+    SPECIAL_INTS = [0, 2**53 - 1, 2**53, -(2**53), 1 - 2**53]
 
     def test_bytes_match_per_row_fstrings(self, tmp_path):
         rng = np.random.default_rng(20)
@@ -686,8 +705,9 @@ class TestCsvWriter:
             * 10.0 ** rng.uniform(-20.0, 20.0, n - len(self.SPECIAL)),
         ])
         ks = np.arange(1, n + 1)
-        labels = [f"{t:.17g}" for t in rng.uniform(0.0, 2.0, n)]
-        columns = [labels, ks, raw, scaled]
+        ks[-len(self.SPECIAL_INTS):] = self.SPECIAL_INTS
+        times = rng.uniform(0.0, 2.0, n)
+        columns = [times, ks, raw, scaled]
         path = tmp_path / "w.csv"
         _write_csv(path, "t,k,a,b", columns)
         assert_same_text(path.read_text(), _rows_one_fstring_at_a_time("t,k,a,b", columns))
@@ -701,18 +721,75 @@ class TestCsvWriter:
         want = _rows_one_fstring_at_a_time("k,x", [range(1, n + 1), vals])
         assert_same_text(path.read_text(), want)
 
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_any_float_column_prints_17g(self, tmp_path_factory, xs):
+        path = tmp_path_factory.getbasetemp() / "floats.csv"
+        _write_csv(path, "x", [xs])
+        assert path.read_text().splitlines() == ["x", *("%.17g" % x for x in xs)]
+
+    @pytest.mark.parametrize("toward", [-np.inf, np.inf])
+    def test_a_log10_one_ulp_off_moves_no_byte(self, tmp_path, monkeypatch, toward):
+        # np.log10 only guesses each decimal exponent, and the digits check the
+        # guess: one ulp off on every value, as another SIMD target's log10 may
+        # be next to a power of ten, moves the guess at 1e5 (below) and at
+        # nextafter(1e16, 0) (above), but no byte
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
+        path = tmp_path / "w.csv"
+        _write_csv(path, "x", [self.SPECIAL])
+        assert path.read_text().splitlines() == ["x", *("%.17g" % x for x in self.SPECIAL)]
+
+    def test_bytes_do_not_depend_on_the_simd_target(self):
+        # _format17 takes only a first guess at the decimal exponent from
+        # np.log10, whose last bits differ between numpy's SIMD targets: under
+        # X86_V3 and X86_V2 dispatch, 10^5 doubles across its range (and 10%
+        # past each end) print as % prints them
+        code = """if True:
+            import sys, tempfile
+            from pathlib import Path
+            import numpy as np
+            from schrodavg.spectral import _write_csv
+            rng = np.random.default_rng(29)
+            lo, hi = np.array([0.9e-10, 1.1e16]).view(np.int64)
+            x = rng.integers(lo, hi, 100_000).view(float) * rng.choice([-1.0, 1.0], 100_000)
+            with tempfile.TemporaryDirectory() as d:
+                _write_csv(Path(d) / "x.csv", "x", [x])
+                ok = (Path(d) / "x.csv").read_text() == "x\\n" + "".join("%.17g\\n" % v for v in x.tolist())
+            sys.exit(0 if ok else 3)
+        """
+        src = str(Path(schrodavg.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        off = "AVX512_SPR AVX512_ICL X86_V4"
+        procs = [subprocess.Popen([sys.executable, "-c", code], stderr=subprocess.PIPE, text=True,
+                                  env={**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": features})
+                 for features in (off, off + " X86_V3")]
+        for proc in procs:
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+
     def test_unequal_columns_rejected(self, tmp_path):
         with pytest.raises(InvalidArgumentError):
             _write_csv(tmp_path / "w.csv", "a,b", [[1.0, 2.0], [1.0]])
 
-    @pytest.mark.parametrize("n", [5, _CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("column, named", [
+        (["a", "b"], "real numbers"), ([1 + 2j, 3j], "real numbers"), ([True, False], "real numbers"),
+        ([1, 2**53 + 1], "integers"), ([-(2**53) - 1, 1], "integers"),
+        (np.array([1, 2**64 - 1], np.uint64), "integers"), ([1, -(2**63)], "integers"),
+    ])
+    def test_columns_of_other_than_doubles_rejected(self, tmp_path, column, named):
+        # 2^53 + 1 would print as the double 2^53, and strings no longer print as %s
+        with pytest.raises(InvalidArgumentError, match=named):
+            _write_csv(tmp_path / "w.csv", "k,x", [[1, 2], column])
+
+    @pytest.mark.parametrize("n", [5, 300, _CSV_BLOCK_ROWS + 1])
     def test_broadcast_2d_columns_match_flat_rows(self, tmp_path, n):
         # trajectory_to_csv's form: t and k broadcast over (times, N), with rows
-        # of N values narrower and wider than a block
+        # of N values narrower and wider than a block; short rows share a block,
+        # 300 values three rows at a time, the last block one row
         rng = np.random.default_rng(22)
-        times = np.array([f"{t:.17g}" for t in rng.uniform(0.0, 2.0, 3)])
-        t, k = np.broadcast_to(times[:, None], (3, n)), np.broadcast_to(np.arange(1, n + 1), (3, n))
-        z = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        times = rng.uniform(0.0, 2.0, 10)
+        t, k = np.broadcast_to(times[:, None], (10, n)), np.broadcast_to(np.arange(1, n + 1), (10, n))
+        z = rng.standard_normal((10, n)) + 1j * rng.standard_normal((10, n))
         columns = [t, k, z.real, z.imag]
         path = tmp_path / "w.csv"
         _write_csv(path, "t,k,re,im", columns)
