@@ -56,46 +56,6 @@ from .spectral import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AveragingParams",
-    "ConditioningReport",
-    "CUSTOM",
-    "DegenerateModeError",
-    "DIRICHLET",
-    "FdConfig",
-    "GridState",
-    "IllPosedError",
-    "InvalidArgumentError",
-    "ModeCoefficients",
-    "NumericError",
-    "PERIODIC",
-    "SchrodavgError",
-    "SpectralBasis",
-    "Trajectory",
-    "ZetaFactors",
-    "apply_time_average",
-    "cn_step",
-    "conditioning_report",
-    "forward_smoothing_constant",
-    "load_coefficients",
-    "make_custom_basis",
-    "make_dirichlet_basis",
-    "make_periodic_basis",
-    "oracle_mu_coeffs",
-    "oracle_time_average",
-    "potential_shift_solution",
-    "project_from_grid",
-    "propagate",
-    "reconstruct_solution",
-    "recover_initial",
-    "recover_via_shift",
-    "sample_trajectory",
-    "save_coefficients",
-    "sobolev_norm",
-    "stability_bound",
-    "synthesize_on_grid",
-    "trajectory_sup_norm",
-    "unit_floor_shift",
-    "zeta_factor",
-    "zeta_factors",
-]
+# the public names the imports above bind, less the submodules that importing them binds too
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and type(value) is not type(spectral)]

@@ -1,6 +1,6 @@
 """Experiment runner.
 
-Subcommands: forward, average, recover, roundtrip, conditioning, oracle-check,
+Commands: forward, average, recover, roundtrip, conditioning, oracle-check,
 sweep.  Configuration comes from an optional JSON file plus flag overrides,
 both read through one table, the fields of ExperimentConfig; outputs are CSV
 files with 17-significant-digit formatting (byte-identical for identical
@@ -201,6 +201,9 @@ def run(cfg: ExperimentConfig, command: str) -> dict:
     N = 64 if cfg.N is None and cfg.kind != CUSTOM else cfg.N  # custom: one per eigenvalue
     if command == "oracle-check" and cfg.kind == DIRICHLET:  # oracle_mu_coeffs refuses other kinds
         N = min(cfg.oracle_modes, N)  # the grid compares the lowest modes only
+        if cfg.coeffs is not None and cfg.coeffs.size != N == cfg.oracle_modes:
+            raise InvalidArgumentError(
+                f"coeffs holds {cfg.coeffs.size} modes; oracle-check compares {N} (oracle.modes)")
     params = AveragingParams(cfg.r, cfg.T)
     sizing = "basis.N"  # the path of the count that sizes the arrays being made
     try:
@@ -363,14 +366,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="schrodavg", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=Path, default=None, help="JSON config file")
-        for f in fields(ExperimentConfig):
-            for flag in f.metadata["flags"]:  # every flag but --out is a number
-                p.add_argument(flag, type=None if flag == "--out" else _number,
-                               help=f"overrides {f.metadata['path']} of the config")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", type=Path, default=None, help="JSON config file")
+    for f in fields(ExperimentConfig):
+        for flag in f.metadata["flags"]:  # every flag but --out is a number
+            parser.add_argument(flag, type=None if flag == "--out" else _number,
+                                help=f"overrides {f.metadata['path']} of the config")
     return parser
 
 

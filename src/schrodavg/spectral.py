@@ -510,7 +510,7 @@ def _write_csv(path, header: str, columns) -> None:
         raise InvalidArgumentError("CSV columns must share one 1-d or 2-d shape")
     if any(c.dtype.kind not in "iuf" for c in cols):
         raise InvalidArgumentError("CSV columns must hold real numbers")
-    if not all(((c >= -(2**53)) & (c <= 2**53)).all() for c in cols if c.dtype.kind in "iu"):
+    if not all(c.size == 0 or -(2**53) <= c.min() and c.max() <= 2**53 for c in cols if c.dtype.kind in "iu"):
         raise InvalidArgumentError("CSV integers must lie in [-2^53, 2^53], where they are doubles")
     outer, inner = cols[0].shape
     rows = max(1, _CSV_BLOCK_ROWS // max(inner, 1))

@@ -264,7 +264,11 @@ class TestExitCodes:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
-        assert "roundtrip" in proc.stdout
+        assert "{" + ",".join(COMMANDS) + "}" in proc.stdout
+        # every flag is listed once, under the options of the one parser
+        listed = [line.split()[0] for line in proc.stdout.splitlines() if line.startswith("  --")]
+        flags = ["--config"] + [flag for f in fields(ExperimentConfig) for flag in f.metadata["flags"]]
+        assert sorted(listed) == sorted(flags)
 
 
 class TestConfigFile:
@@ -385,6 +389,7 @@ class TestConfigFile:
         assert main(["oracle-check", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 1
         diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert diag["error"] == "config-error"
+        assert diag["message"] == "coeffs holds 3 modes; oracle-check compares 2 (oracle.modes)"
 
     def test_decay_must_exceed_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -799,6 +804,10 @@ class TestConfigRules:
         assert load_config(None, args).r == complex(0.5, 0.0)
         args = build_parser().parse_args(["forward", "--r-im", "-2", "--r-re", "3"])
         assert load_config(None, args).r == complex(3.0, -2.0)
+        # one parser: flags may come before the command too
+        args = build_parser().parse_args(["--r-im", "-2", "--N", "8", "forward", "--r-re", "3"])
+        cfg = load_config(None, args)
+        assert (args.command, cfg.r, cfg.N) == ("forward", complex(3.0, -2.0), 8)
 
     # a JSON true or false is not a number: alone, as a vector, or in a list
     # beside numbers, where numpy would read it as an integer

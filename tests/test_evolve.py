@@ -486,11 +486,13 @@ class TestCsvExport:
         meta = json.loads((tmp_path / "trajectory.meta.json").read_text())
         assert meta == {"kind": "dirichlet_interval", "L": 1.0, "N": 3, "cA": 0.0}
 
-    def test_memory_is_held_per_block(self, tmp_path, monkeypatch):
-        # 40 times x 512 modes = 20480 rows, written 64 rows at a time: building
-        # whole columns as Python lists held about 2 MiB of them
+    @pytest.mark.parametrize("n", [512, 4096])
+    def test_memory_is_held_per_block(self, tmp_path, monkeypatch, n):
+        # 40 times x n modes, written 64 values at a time: building whole columns
+        # as Python lists held about 2 MiB of them at n = 512, and a whole-table
+        # range check of the k column 514 KiB at n = 4096
         monkeypatch.setattr(schrodavg.spectral, "_CSV_BLOCK_ROWS", 64)
-        b = make_dirichlet_basis(1.0, 512)
+        b = make_dirichlet_basis(1.0, n)
         traj = sample_trajectory(power_law_state(b, 10, 2.0), 1.0, 39)
         tracemalloc.start()
         try:

@@ -11,11 +11,26 @@ import schrodavg
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _env_with_src():
+    """The environment with this package's source tree first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(schrodavg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_every_export_resolves_once():
     names = schrodavg.__all__
     assert len(names) == len(set(names)), "duplicate names in __all__"
     missing = [n for n in names if not hasattr(schrodavg, n)]
     assert not missing, f"__all__ names not defined on the package: {missing}"
+    # computing __all__ binds no name: a fresh import's public attributes are
+    # the exports and the six submodules that __init__ imports
+    code = "import schrodavg; print(' '.join(n for n in dir(schrodavg) if not n.startswith('_')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_env_with_src())
+    assert proc.returncode == 0, proc.stderr
+    modules = ["averaging", "errors", "evolve", "fd_oracle", "recover", "spectral"]
+    assert sorted(proc.stdout.split()) == sorted(names + modules)
 
 
 def test_public_names_are_pinned():
@@ -38,11 +53,8 @@ def test_readme_quick_start_runs():
     # a renamed or removed export cannot leave it stale
     section = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
-    env = dict(os.environ)
-    src = str(Path(schrodavg.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=_env_with_src())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "(9, 64)"
 
