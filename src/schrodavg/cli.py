@@ -201,7 +201,7 @@ def run(cfg: ExperimentConfig, command: str) -> dict:
     N = 64 if cfg.N is None and cfg.kind != CUSTOM else cfg.N  # custom: one per eigenvalue
     if command == "oracle-check" and cfg.kind == DIRICHLET:  # oracle_mu_coeffs refuses other kinds
         N = min(cfg.oracle_modes, N)  # the grid compares the lowest modes only
-        if cfg.coeffs is not None and cfg.coeffs.size != N == cfg.oracle_modes:
+        if cfg.coeffs is not None and cfg.coeffs.size != N == cfg.oracle_modes:  # oracle.modes set N
             raise InvalidArgumentError(
                 f"coeffs holds {cfg.coeffs.size} modes; oracle-check compares {N} (oracle.modes)")
     params = AveragingParams(cfg.r, cfg.T)
