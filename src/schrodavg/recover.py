@@ -25,6 +25,7 @@ from .spectral import _require_finite, _result, _trusted
 
 _TINY = np.finfo(float).tiny  # the smallest normal double
 _LOG_MAX = math.log(np.finfo(float).max)  # exp(x) overflows exactly where x > _LOG_MAX
+_LOG_EPS = -38.0  # exp(x) < 2^-54 below it
 
 
 def recover_initial(
@@ -96,9 +97,22 @@ class ConditioningReport:
     q: float
 
 
-def _abs_expm1(x: float) -> float:
-    """|exp(x) - 1|, inf once exp(x) overflows."""
-    return abs(math.expm1(x)) if x <= _LOG_MAX else math.inf
+def _over_expm1(num, z, T: float, half=None):
+    """num / |exp(z) - 1|, z = r T real (math.expm1) or complex (_cexpm1), num >= 0 a
+    float or one per mode.  Where num overflows: twice the quotient of half(), num
+    rebuilt from r / 2 and lambda / 2.  Where exp(Re z) overflows: num exp(-Re z), in
+    two halves so that nothing underflows before the result does; below 2^-54: num (the
+    denominator rounds to 1 there, whatever Im z is).  Elsewhere the plain quotient,
+    whose 0 / 0 (only at s_k = r - i lambda_k = 0, zeta_k = T) takes its limit 1 / T."""
+    if half is not None and (num if isinstance(num, float) else num.max()) == math.inf:
+        return np.where(num < math.inf, _over_expm1(num, z, T), 2.0 * _over_expm1(half(), z, T))
+    if z.real > _LOG_MAX:
+        e = math.exp(-z.real / 2)
+        return num * e * e
+    if z.real < _LOG_EPS:
+        return num
+    den = abs(math.expm1(z) if isinstance(z, float) else _cexpm1(z))
+    return num / den if den != 0.0 else np.where(num == 0.0, 1.0 / T, math.inf)
 
 
 def stability_bound(params: AveragingParams) -> float:
@@ -106,42 +120,27 @@ def stability_bound(params: AveragingParams) -> float:
     if params.r.real == 0.0:
         raise IllPosedError("stability bound diverges at Re r = 0")
     # |r / 2| cannot overflow, and doubling it is exact: |r|, or inf where that overflows
-    x, half = params.r.real * params.T, abs(params.r / 2)
-    a, denom = 2.0 * half, _abs_expm1(x)  # denom is 0 once Re r T underflows
-    if x > 0 and math.inf in (a, denom):  # in logs
-        num = math.log1p(a) if a < math.inf else math.log(half) + math.log(2.0)
-        den = x + math.log1p(-math.exp(-x)) if denom == math.inf else math.log(denom)
-        return math.exp(num - den) if num - den <= _LOG_MAX else math.inf
-    return (1.0 + a) / denom if denom > 0 else math.inf
-
-
-def _quotient(num: np.ndarray, den: float, T: float) -> np.ndarray:
-    """num / den, where 0 / 0 takes its limit 1 / T: both vanish only at
-    s_k = r - i lambda_k = 0, where zeta_k = T."""
-    return num / den if den != 0.0 else np.where(num == 0.0, 1.0 / T, math.inf)
+    half = abs(params.r / 2)
+    return float(_over_expm1(1.0 + 2.0 * half, params.r.real * params.T, params.T, lambda: 0.5 + half))
 
 
 def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> ConditioningReport:
     """Diagnostic report; never raises, even in the ill-posed regime."""
     lam = basis.lambdas
     f = _factors(basis, params)
-    denom_re = _abs_expm1(params.r.real * params.T)
+    r, T = params.r, params.T
     # numpy's scalar abs and power: Python's bits, but inf where Python's raise
     with np.errstate(all="ignore"):
-        # |exp(rT) - 1| >= |exp(Re r T) - 1|, so it overflows whenever that does
-        denom_full = math.inf if denom_re == math.inf else abs(_cexpm1(np.complex128(params.r * params.T)))
-        abs_r = abs(np.complex128(params.r))
-        r2 = abs_r**2  # a scalar power, not np.square: their last bits differ
-        inv_bound = _quotient(np.hypot(params.r.real, params.r.imag - lam), denom_re, params.T)
-        # hypot only where the sum of squares overflows or underflows below
-        # the smallest normal double: elsewhere it would move the last bit of
-        # psi on about one mode in six
-        sq = r2 + lam**2
+        inv_bound = _over_expm1(np.hypot(r.real, r.imag - lam), r.real * T, T,
+                                lambda: np.hypot(r.real / 2, r.imag / 2 - lam / 2))
+        abs_r = abs(np.complex128(r))
+        # a scalar power of |r| (np.square's last bits differ); hypot only where the sum of
+        # squares underflows below the smallest normal double: elsewhere it moves last bits
+        sq = abs_r**2 + lam**2
         psi = np.sqrt(sq)
-        if not (sq.min() >= _TINY and psi.max() < math.inf):
-            lost = ~np.isfinite(psi) | (sq < _TINY)
-            psi[lost] = np.hypot(abs_r, lam[lost])
-        psi = _quotient(psi, denom_full, params.T)
+        if not sq.min() >= _TINY:
+            psi[sq < _TINY] = np.hypot(abs_r, lam[sq < _TINY])
+        psi = _over_expm1(psi, np.complex128(r * T), T, lambda: np.hypot(abs(r / 2), lam / 2))
     return ConditioningReport(
         basis=basis,
         params=params,

@@ -32,7 +32,7 @@ from schrodavg import (
     zeta_factors,
 )
 from schrodavg.averaging import _cexpm1
-from schrodavg.recover import _LOG_MAX, _TINY, _abs_expm1, _quotient, report_summary, report_to_csv
+from schrodavg.recover import _LOG_EPS, _LOG_MAX, _TINY, report_summary, report_to_csv
 
 PARAMS = AveragingParams(1.0, 1.0)
 
@@ -348,7 +348,8 @@ class TestStabilityBound:
         assert conditioning_report(make_dirichlet_basis(1.0, 4), params).stability_bound == math.inf
 
     # |r| overflows; |r| overflows while exp(Re r T) does not; exp(Re r T)
-    # overflows and the bound is not 0; and two ordinary pairs
+    # overflows and the bound is not 0; two ordinary pairs; exp(Re r T)
+    # overflows at a real r; and Im r T overflows where exp(Re r T) underflows
     EXTREME = [
         (1.7e308 + 1.7e308j, 1.0),
         (1e301 + 1.7976931348623157e308j, 7e-299),
@@ -356,8 +357,11 @@ class TestStabilityBound:
         (710.0 + 1e300j, 1.0),
         (-1e308 + 1e308j, 1.0),
         (1.0 + 2.0j, 1.0),
+        (710.0, 1.0),
+        (-2.700099387594259e307 - 1.5653259326782362e308j, 3.495765722651966),
     ]
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("r, T", EXTREME)
     def test_matches_mpmath_where_abs_r_or_the_weight_overflows(self, r, T):
         params = AveragingParams(r, T)
@@ -366,6 +370,12 @@ class TestStabilityBound:
             ref = (1 + mpmath.hypot(params.r.real, params.r.imag)) / abs(mpmath.expm1(x))
             expected = float(ref)  # 0 or inf where the bound leaves the doubles
         assert stability_bound(params) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        # the per-mode bounds take the same quotient
+        for basis in (make_dirichlet_basis(1.0, 8), make_custom_basis([1.0, 1e300])):
+            rep = conditioning_report(basis, params)
+            for got, (want, budget) in [(rep.inv_zeta_bound, _mp_inv_zeta_bound(basis, params)),
+                                        (rep.psi, _mp_psi(basis, params))]:
+                assert all(_close(g, w, budget) for g, w in zip(got, want)), (basis.kind, got)
 
     @pytest.mark.parametrize("r, T", EXTREME[:4])
     def test_report_does_not_raise_where_abs_r_overflows(self, r, T):
@@ -402,53 +412,99 @@ class TestStabilityBound:
 
 
 def _python_abs(r) -> float:
-    """|r| by Python's complex abs, inf where that raises OverflowError."""
+    """|r| by Python's complex abs, inf where that raises OverflowError.  A
+    NaN part gives NaN through math.hypot: there Python's abs returns without
+    setting errno, so a stale ERANGE from an earlier libm call made it raise.
+    Elsewhere math.hypot is no reference, since it is not libm's hypot, which
+    both Python's and numpy's scalar abs call: their last bits differ on 13
+    of the 13 234 finite values that these tests take |.| of."""
+    if math.isnan(r.real) or math.isnan(r.imag):
+        return math.hypot(r.real, r.imag)
     try:
         return abs(complex(r))
     except OverflowError:
         return math.inf
 
 
+def _ordinary(params: AveragingParams) -> bool:
+    """Whether exp(Re r T) takes the plain quotient: neither overflows nor
+    falls below 2^-54."""
+    return _LOG_EPS <= params.r.real * params.T <= _LOG_MAX
+
+
 def _python_abs_stability_bound(params: AveragingParams) -> float:
-    """stability_bound in the form that took |r| through _python_abs."""
-    x, a = params.r.real * params.T, _python_abs(params.r)
-    denom = _abs_expm1(x)
-    if x > 0 and math.inf in (a, denom):
-        num = math.log1p(a) if a < math.inf else math.log(_python_abs(params.r / 2)) + math.log(2.0)
-        den = x + math.log1p(-math.exp(-x)) if denom == math.inf else math.log(denom)
-        return math.exp(num - den) if num - den <= _LOG_MAX else math.inf
-    return (1.0 + a) / denom if denom > 0 else math.inf
+    """stability_bound's plain quotient with |r| through _python_abs."""
+    denom = abs(math.expm1(params.r.real * params.T))
+    return (1.0 + _python_abs(params.r)) / denom if denom > 0 else math.inf
 
 
-def _python_abs_psi(basis, params) -> np.ndarray:
-    """conditioning_report's psi in the form that took |r|, |r|^2 and
-    |exp(rT) - 1| through Python's abs and float power."""
-    lam = basis.lambdas
-    denom_re = _abs_expm1(params.r.real * params.T)
-    denom_full = math.inf if denom_re == math.inf else _python_abs(_cexpm1(np.complex128(params.r * params.T)))
-    abs_r = _python_abs(params.r)
+def _python_abs_bounds(basis, params):
+    """conditioning_report's plain (inv_zeta_bound, psi), with |r|, |r|^2 and
+    |exp(rT) - 1| through _python_abs and Python's float power, each with the
+    modes where the plain quotient runs: its numerator is finite and exp(Re r T)
+    neither overflows nor falls below 2^-54."""
+    r, lam = params.r, basis.lambdas
+    if not _ordinary(params):  # no mode takes the plain quotient
+        return [(np.zeros(lam.size), np.zeros(lam.size, bool))] * 2
+    abs_r = _python_abs(r)
     try:
-        r2 = abs_r ** 2
+        r2 = abs_r**2
     except OverflowError:
         r2 = math.inf
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
+        inv = np.hypot(r.real, r.imag - lam)
         sq = r2 + lam**2
         psi = np.sqrt(sq)
-        if not (sq.min() >= _TINY and psi.max() < math.inf):
-            lost = ~np.isfinite(psi) | (sq < _TINY)
-            psi[lost] = np.hypot(abs_r, lam[lost])
-        return _quotient(psi, denom_full, params.T)
+        psi[sq < _TINY] = np.hypot(abs_r, lam[sq < _TINY])
+        return [(inv / abs(math.expm1(r.real * params.T)), inv < math.inf),
+                (psi / _python_abs(_cexpm1(np.complex128(r * params.T))), psi < math.inf)]
+
+
+def _mp_over_expm1(params: AveragingParams, nums, phase: bool = False):
+    """nums(Re r, Im r) / |exp(z) - 1| at 50 digits, z = r T from the exact r
+    and T (its real part alone unless ``phase``), and the relative budget of a
+    quotient by that denominator: 16 ulps, plus the denominator's first-order
+    change where Re z and Im z each move by the rounding of their doubles,
+    2^-53 of themselves (|Re z| 2^-53 where exp(Re z) is large)."""
+    with mpmath.workdps(50):
+        re, im, T = map(mpmath.mpf, (params.r.real, params.r.imag, params.T))
+        x, y = re * T, im * T if phase else mpmath.mpf(0)
+        w = mpmath.expm1(mpmath.mpc(x, y) if phase else x)
+        g = mpmath.conj(w) * (w + 1)  # half the gradient of |w|^2 is (Re g, -Im g)
+        change = (abs(x * g.real) + abs(y * g.imag)) / abs(w) ** 2
+        return [v / abs(w) for v in nums(re, im)], (16 + change) * mpmath.mpf(2) ** -53
+
+
+def _mp_stability_bound(params):
+    return _mp_over_expm1(params, lambda re, im: [1 + mpmath.hypot(re, im)])
+
+
+def _mp_inv_zeta_bound(basis, params):
+    return _mp_over_expm1(params, lambda re, im: [mpmath.hypot(re, im - mpmath.mpf(v)) for v in basis.lambdas])
+
+
+def _mp_psi(basis, params):
+    return _mp_over_expm1(params, lambda re, im: [mpmath.sqrt(re**2 + im**2 + mpmath.mpf(v) ** 2)
+                                                  for v in basis.lambdas], phase=True)
+
+
+def _close(got: float, want, budget) -> bool:
+    """got is the 50-digit want to the relative budget, or to one subnormal
+    step; inf only where want is within the budget of overflowing."""
+    w, b = float(want), float(budget)  # moves the check by under an ulp, against a budget of >= 16
+    return w * (1 - b) - 5e-324 <= got <= w * (1 + b) + 5e-324
 
 
 def _extreme_draws(seed: int, n: int):
     """Seeded (r, T) whose parts reach |r| overflow, subnormals and Re r T
-    past log(DBL_MAX); Re r is never 0."""
+    past log(DBL_MAX); Re r is never 0.  The powers of ten are Python's, so
+    the draws do not depend on numpy's SIMD target."""
     rng = np.random.default_rng(seed)
     for _ in range(n):
         # each part near the largest double, subnormal, or anywhere between
-        exps = [rng.choice([rng.uniform(307.0, 308.25), rng.uniform(-323.3, -308.0), rng.uniform(-300.0, 300.0)])
+        exps = [float(rng.choice([rng.uniform(307.0, 308.25), rng.uniform(-323.3, -308.0), rng.uniform(-300.0, 300.0)]))
                 for _ in range(2)]
-        re, im = (rng.choice([-1.0, 1.0], 2) * 10.0 ** np.array(exps)).tolist()
+        re, im = (sign * 10.0**e for sign, e in zip(rng.choice([-1.0, 1.0], 2).tolist(), exps))
         if re == 0.0:
             continue
         # an ordinary horizon, or one that puts |Re r| T around 709
@@ -458,25 +514,41 @@ def _extreme_draws(seed: int, n: int):
 
 
 class TestBitsOfTheOverflowRoute:
-    """numpy's scalar abs and power give the bits of Python's, inf where
-    Python's raise, and |r| = 2 |r / 2| exactly: the bound and psi keep the
-    bits of the form that caught OverflowError."""
+    """Where the plain quotient runs, numpy's scalar abs and power give the
+    bits of Python's, inf where Python's raise, and |r| = 2 |r / 2| exactly:
+    the bounds keep the bits of the form that caught OverflowError.  Where
+    exp(Re r T) overflows or falls below 2^-54, or a numerator overflows, they
+    are within _mp_over_expm1's budget of mpmath."""
 
     def test_stability_bound(self):
         for params in _extreme_draws(11, 8000):
-            want = _python_abs_stability_bound(params)
-            assert np.float64(stability_bound(params)).tobytes() == np.float64(want).tobytes(), params
+            got = stability_bound(params)
+            if _ordinary(params) and _python_abs(params.r) < math.inf:
+                want = _python_abs_stability_bound(params)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), params
+            else:
+                (want,), budget = _mp_stability_bound(params)
+                assert _close(got, want, budget), params
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the factors overflow on some draws
     @pytest.mark.parametrize("basis", [make_dirichlet_basis(1.0, 8), make_periodic_basis(2.0, 9),
                                        make_custom_basis([-3.0, 0.0, 1e-200, 1.0, 1e300])],
                              ids=["dirichlet", "periodic", "custom"])
     def test_conditioning_report(self, basis):
+        skipped = 0
         for params in _extreme_draws(12, 1500):
             rep = conditioning_report(basis, params)
-            assert rep.psi.tobytes() == _python_abs_psi(basis, params).tobytes(), params
-            assert np.float64(rep.stability_bound).tobytes() == np.float64(
-                _python_abs_stability_bound(params)).tobytes(), params
+            assert rep.stability_bound == stability_bound(params)
+            # psi's denominator follows Im r T, whose phase is rounding noise from 2^53 on
+            resolved = abs((params.r * params.T).imag) * 2.0**-53 < 1.0
+            skipped += not resolved
+            for got, (want, plain), exact, check in zip([rep.inv_zeta_bound, rep.psi], _python_abs_bounds(basis, params),
+                                                        [_mp_inv_zeta_bound, _mp_psi], [True, resolved]):
+                assert got[plain].tobytes() == want[plain].tobytes(), params
+                if check and not plain.all():
+                    want, budget = exact(basis, params)
+                    assert all(_close(got[k], want[k], budget) for k in np.flatnonzero(~plain)), params
+        assert skipped < 1500 / 3, skipped  # 475 of the 1282 draws: the rest check psi
 
 
 class TestPotentialShift:
