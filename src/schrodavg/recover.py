@@ -97,21 +97,23 @@ class ConditioningReport:
     q: float
 
 
-def _over_expm1(num, z, T: float, half=None):
-    """num / |exp(z) - 1|, z = r T real (math.expm1) or complex (_cexpm1), num >= 0 a
-    float or one per mode.  Where num overflows: twice the quotient of half(), num
-    rebuilt from r / 2 and lambda / 2.  Where exp(Re z) overflows: num exp(-Re z), in
-    two halves so that nothing underflows before the result does; below 2^-54: num (the
-    denominator rounds to 1 there, whatever Im z is).  Elsewhere the plain quotient,
-    whose 0 / 0 (only at s_k = r - i lambda_k = 0, zeta_k = T) takes its limit 1 / T."""
-    if half is not None and (num if isinstance(num, float) else num.max()) == math.inf:
-        return np.where(num < math.inf, _over_expm1(num, z, T), 2.0 * _over_expm1(half(), z, T))
-    if z.real > _LOG_MAX:
-        e = math.exp(-z.real / 2)
+def _over_expm1(num, half, z, expm1, T: float):
+    """num / |expm1(z)|, num >= 0 a float or one per mode, z = r T (expm1 = _cexpm1) or its
+    real part (math.expm1).  Where exp(Re z) overflows: num exp(-Re z), in two halves so
+    that nothing underflows before the result does; below 2^-54: num, as the denominator
+    rounds to 1 whatever Im z is; elsewhere the plain quotient, whose 0 / 0 (only at
+    s_k = r - i lambda_k = 0, zeta_k = T) takes its limit 1 / T.  half is num rebuilt from
+    r / 2 and lambda / 2 where num can overflow, else None: where num does, twice its quotient."""
+    if half is not None:
+        whole = _over_expm1(num, None, z, expm1, T)
+        return np.where(num < math.inf, whole, 2.0 * _over_expm1(half, None, z, expm1, T))
+    x = float(z.real)
+    if x > _LOG_MAX:
+        e = math.exp(-x / 2)
         return num * e * e
-    if z.real < _LOG_EPS:
+    if x < _LOG_EPS:
         return num
-    den = abs(math.expm1(z) if isinstance(z, float) else _cexpm1(z))
+    den = abs(expm1(z))
     return num / den if den != 0.0 else np.where(num == 0.0, 1.0 / T, math.inf)
 
 
@@ -120,8 +122,9 @@ def stability_bound(params: AveragingParams) -> float:
     if params.r.real == 0.0:
         raise IllPosedError("stability bound diverges at Re r = 0")
     # |r / 2| cannot overflow, and doubling it is exact: |r|, or inf where that overflows
-    half = abs(params.r / 2)
-    return float(_over_expm1(1.0 + 2.0 * half, params.r.real * params.T, params.T, lambda: 0.5 + half))
+    h, x = abs(params.r / 2), params.r.real * params.T
+    num = 1.0 + 2.0 * h
+    return float(_over_expm1(num, None if num < math.inf else 0.5 + h, x, math.expm1, params.T))
 
 
 def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> ConditioningReport:
@@ -129,18 +132,22 @@ def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> Condit
     lam = basis.lambdas
     f = _factors(basis, params)
     r, T = params.r, params.T
+    # no numerator overflows while both parts of r and every |lambda| stay below 2^511
+    big = max(abs(r.real), abs(r.imag), -lam[0], lam[-1]) >= 2.0**511  # lam is nondecreasing
     # numpy's scalar abs and power: Python's bits, but inf where Python's raise
     with np.errstate(all="ignore"):
-        inv_bound = _over_expm1(np.hypot(r.real, r.imag - lam), r.real * T, T,
-                                lambda: np.hypot(r.real / 2, r.imag / 2 - lam / 2))
+        half = np.hypot(r.real / 2, r.imag / 2 - lam / 2) if big else None
+        inv_bound = _over_expm1(np.hypot(r.real, r.imag - lam), half, r.real * T, math.expm1, T)
         abs_r = abs(np.complex128(r))
-        # a scalar power of |r| (np.square's last bits differ); hypot only where the sum of
-        # squares underflows below the smallest normal double: elsewhere it moves last bits
-        sq = abs_r**2 + lam**2
+        r2 = abs_r**2  # a scalar power, not np.square: their last bits differ
+        # hypot only where the sum of squares underflows below the smallest
+        # normal double: elsewhere it would move the last bit of psi on about
+        # one mode in six
+        sq = r2 + lam**2
         psi = np.sqrt(sq)
         if not sq.min() >= _TINY:
             psi[sq < _TINY] = np.hypot(abs_r, lam[sq < _TINY])
-        psi = _over_expm1(psi, np.complex128(r * T), T, lambda: np.hypot(abs(r / 2), lam / 2))
+        psi = _over_expm1(psi, np.hypot(abs(r / 2), lam / 2) if big else None, np.complex128(r * T), _cexpm1, T)
     return ConditioningReport(
         basis=basis,
         params=params,
