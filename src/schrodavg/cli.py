@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -34,7 +35,7 @@ from .errors import DegenerateModeError, IllPosedError, InvalidArgumentError, Nu
 from .errors import _complex, _count, _positive, _vector
 from .evolve import sample_trajectory, trajectory_sup_norm, trajectory_to_csv
 from .fd_oracle import FdConfig, oracle_mu_coeffs
-from .recover import conditioning_report, recover_initial, report_summary, report_to_csv, stability_bound
+from .recover import conditioning_report, recover_initial, report_to_csv, stability_bound
 from .spectral import (
     CUSTOM,
     DIRICHLET,
@@ -225,6 +226,15 @@ def run(cfg: ExperimentConfig, command: str) -> dict:
     return report
 
 
+def _conditioning(rep) -> dict:
+    """report.json's well_posed and conditioning sections from a
+    ConditioningReport; a value that is not finite reads null, as JSON has no inf or NaN."""
+    summary = {"well_posed": rep.well_posed, "min_abs_zeta": rep.min_abs_zeta,
+               "stability_bound": rep.stability_bound, "q": rep.q}
+    return {"well_posed": rep.well_posed,
+            "conditioning": {key: x if math.isfinite(x) else None for key, x in summary.items()}}
+
+
 def _trajectory(cfg, xi):
     """The trajectory of xi over [0, T], written to trajectory.csv."""
     traj = sample_trajectory(xi, cfg.T, cfg.trajectory_steps)
@@ -260,7 +270,7 @@ def _run_recover(cfg, basis, params, mu):
     rep = conditioning_report(basis, params)
     zeta_to_csv(zeta_factors(basis, params), cfg.out / "zeta.csv")
     save_coefficients(cfg.out / "xi.json", xi_hat)
-    return {"well_posed": rep.well_posed, "conditioning": report_summary(rep), "norms": {
+    return {**_conditioning(rep), "norms": {
         "mu_h2": sobolev_norm(mu_used, 2),
         "xi_h": sobolev_norm(xi_hat, 0),
         "xi_h1": sobolev_norm(xi_hat, 1),
@@ -291,7 +301,7 @@ def _run_roundtrip(cfg, basis, params, xi):
 def _run_conditioning(cfg, basis, params, _):
     rep = conditioning_report(basis, params)
     report_to_csv(rep, cfg.out / "zeta.csv")
-    return {"well_posed": rep.well_posed, "conditioning": report_summary(rep)}
+    return _conditioning(rep)
 
 
 def _run_oracle_check(cfg, basis, params, xi):
@@ -360,8 +370,7 @@ COMMANDS = tuple(_HANDLERS)
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):  # flag misuse is a config error: exit 1, not 2
         self.print_usage(sys.stderr)
-        print(json.dumps({"error": "config-error", "message": message}), file=sys.stderr)
-        raise SystemExit(1)
+        raise SystemExit(_diagnostic(InvalidArgumentError(message)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,11 +391,14 @@ _EXITS = ((IllPosedError, "ill-posed-parameters", 2), (DegenerateModeError, "deg
           (NumericError, "numeric-error", 4), (_FAILURES, "config-error", 1))
 
 
-def _diagnostic(kind: str, exc: Exception) -> None:
+def _diagnostic(exc: Exception) -> int:
+    """Print the one stderr line {"error", "message"[, "modes"]} of exc; return its exit code."""
+    kind, code = next((kind, code) for cls, kind, code in _EXITS if isinstance(exc, cls))
     payload = {"error": kind, "message": str(exc)}
     if isinstance(exc, DegenerateModeError):
         payload["modes"] = exc.modes
     print(json.dumps(payload), file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -398,9 +410,7 @@ def main(argv=None) -> int:
             # diagnostic runs still flag the ill-posed regime through the exit code
             raise IllPosedError("Re r = 0 (report written)")
     except _FAILURES as exc:
-        kind, code = next((kind, code) for cls, kind, code in _EXITS if isinstance(exc, cls))
-        _diagnostic(kind, exc)
-        return code
+        return _diagnostic(exc)
     return 0
 
 

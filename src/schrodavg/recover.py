@@ -86,7 +86,6 @@ class ConditioningReport:
     """
 
     basis: SpectralBasis
-    params: AveragingParams
     zeta: np.ndarray
     abs_zeta: np.ndarray
     inv_zeta_bound: np.ndarray
@@ -150,7 +149,6 @@ def conditioning_report(basis: SpectralBasis, params: AveragingParams) -> Condit
         psi = _over_expm1(psi, np.hypot(abs(r / 2), lam / 2) if big else None, np.complex128(r * T), _cexpm1, T)
     return ConditioningReport(
         basis=basis,
-        params=params,
         zeta=f.values,
         abs_zeta=f.abs_values,
         inv_zeta_bound=inv_bound,
@@ -182,14 +180,3 @@ def report_to_csv(report: ConditioningReport, path) -> None:
     _write_csv(path, "k,lambda,abs_zeta,inv_zeta_bound,psi", [
         range(1, b.mode_count + 1), b.lambdas, report.abs_zeta, report.inv_zeta_bound, report.psi,
     ])
-
-
-def report_summary(report: ConditioningReport) -> dict:
-    """JSON-safe summary {well_posed, min_abs_zeta, stability_bound, q}."""
-    return {
-        "well_posed": report.well_posed,
-        "min_abs_zeta": report.min_abs_zeta if math.isfinite(report.min_abs_zeta) else None,
-        "stability_bound": report.stability_bound if math.isfinite(report.stability_bound) else None,
-        "q": report.q,
-    }
-

@@ -6,6 +6,7 @@ agreement between the two routes is evidence, not circularity.
 
 import concurrent.futures
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ def cexpm1_two_reductions(z):
     """exp(z) - 1 as _cexpm1 took it, with np.cos(y) and np.sin(y) reduced apart."""
     x, y = np.real(z), np.imag(z)
     return np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2 + 1j * np.exp(x) * np.sin(y)
+
+
+def env_with_src():
+    """The environment with this package's source tree first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(schrodavg.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def bits(a):
+    """The bit patterns of a complex array: -0.0 != 0.0, and NaN == NaN."""
+    return np.ascontiguousarray(a).view(np.int64)
 
 
 def power_law_state(basis, seed, p):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     averaged_mode_by_quadrature,
+    bits,
     cexpm1_two_reductions,
     power_law_state,
     runs_of_equal_eigenvalues,
@@ -225,11 +226,6 @@ class TestFactorMemo:
         hand = ZetaFactors(z, b)
         z[0] = 2.0  # a hand-built object keeps its own copy
         assert hand.values[0] == 1.0
-
-
-def bits(a):
-    """The bit patterns of a complex array: -0.0 != 0.0, and NaN == NaN."""
-    return a.view(np.int64)
 
 
 def signed_log_uniform(rng, lo, hi, n):

@@ -3,7 +3,6 @@
 import hashlib
 import inspect
 import json
-import os
 import re
 import subprocess
 import sys
@@ -13,23 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import schrodavg
+from conftest import env_with_src
 from schrodavg import (
-    AveragingParams, InvalidArgumentError, ModeCoefficients, apply_time_average, load_coefficients,
-    make_custom_basis, make_dirichlet_basis,
+    AveragingParams, InvalidArgumentError, ModeCoefficients, apply_time_average, conditioning_report,
+    load_coefficients, make_custom_basis, make_dirichlet_basis,
 )
-from schrodavg.cli import COMMANDS, ExperimentConfig, _gather, build_parser, load_config, main, run
+from schrodavg.cli import COMMANDS, ExperimentConfig, _conditioning, _gather, build_parser, load_config, main, run
 from schrodavg.spectral import basis_from_json, basis_to_json
 
 T_FULL_REVOLUTION = 2.0 / np.pi
-
-
-def _env_with_src():
-    """The environment with this package's source tree first on PYTHONPATH."""
-    env = dict(os.environ)
-    src = str(Path(schrodavg.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def read_csv(path):
@@ -205,21 +196,6 @@ class TestExitCodes:
             "message": "L = 1e-160 with N = 64 overflows the largest dirichlet_interval eigenvalue",
         }
 
-    def test_overflowing_norm_exits_four(self, tmp_path):
-        # lambda^2 = 1e600 overflows the order-2 weight of mu_h2: one
-        # numeric-error line on stderr, without numpy's overflow warning
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"basis": {"kind": "custom", "lambdas": [1.0, 4.0, 1e300]}}))
-        proc = subprocess.run(
-            [sys.executable, "-m", "schrodavg.cli", "average", "--config", str(cfg_path),
-             "--out", str(tmp_path / "x")],
-            capture_output=True, text=True, env=_env_with_src(),
-        )
-        assert proc.returncode == 4
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1, proc.stderr
-        assert json.loads(lines[0])["error"] == "numeric-error"
-
     def test_underflowing_weight_exits_four(self, tmp_path, capsys):
         # lambda^2 = 1e-400 underflows the order-2 weight of mu_h2 at c_A = 0
         cfg_path = tmp_path / "cfg.json"
@@ -269,6 +245,29 @@ class TestExitCodes:
         listed = [line.split()[0] for line in proc.stdout.splitlines() if line.startswith("  --")]
         flags = ["--config"] + [flag for f in fields(ExperimentConfig) for flag in f.metadata["flags"]]
         assert sorted(listed) == sorted(flags)
+
+
+class TestConditioningSections:
+    """cli._conditioning, the one source of report.json's well_posed and
+    conditioning sections."""
+
+    def test_keys_in_order(self):
+        rep = conditioning_report(make_dirichlet_basis(1.0, 3, 0.0), AveragingParams(1.0, 1.0))
+        sections = _conditioning(rep)
+        assert list(sections) == ["well_posed", "conditioning"]
+        assert list(sections["conditioning"]) == ["well_posed", "min_abs_zeta", "stability_bound", "q"]
+        assert sections["well_posed"] is sections["conditioning"]["well_posed"] is True
+        assert sections["conditioning"]["stability_bound"] == pytest.approx(2.0 / (np.e - 1.0))
+
+    def test_none_bound_when_ill_posed(self):
+        rep = conditioning_report(make_dirichlet_basis(1.0, 3, 0.0), AveragingParams(2.0j, 1.0))
+        assert _conditioning(rep)["conditioning"]["stability_bound"] is None
+
+    @pytest.mark.filterwarnings("error")
+    def test_none_min_factor_at_huge_r(self):
+        # every factor overflows to NaN, so min |zeta| is NaN
+        rep = conditioning_report(make_dirichlet_basis(1.0, 8), AveragingParams(1e308 + 1e308j, 1.0))
+        assert _conditioning(rep)["conditioning"]["min_abs_zeta"] is None
 
 
 class TestConfigFile:
@@ -460,7 +459,7 @@ class TestImportCost:
             "print(json.dumps([before, [m for m in names if m in sys.modules]]))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
-                              text=True, env=_env_with_src())
+                              text=True, env=env_with_src())
         assert proc.returncode == 0, proc.stderr
         before, after = json.loads(proc.stdout)
         assert before == []
@@ -511,7 +510,7 @@ class TestImportCost:
         got = []
         for code in (oracle_first, linalg_first):
             proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                  env=_env_with_src())
+                                  env=env_with_src())
             assert proc.returncode == 0, proc.stderr
             got.append(json.loads(proc.stdout))
         digests = [checks.pop("digest") for checks in got]
@@ -532,7 +531,7 @@ class TestImportCost:
             "print('concurrent.futures' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=_env_with_src())
+                              env=env_with_src())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
@@ -993,10 +992,12 @@ class TestFileEdge:
         ("recover", b"{}", "x", ["--r-re", "800"], 4, "numeric-error"),
         ("roundtrip", b"{}", "x", ["--r-re", "800"], 4, "numeric-error"),
         ("recover", b"{}", "x", ["--noise", "1e308"], 4, "numeric-error"),
+        # lambda^2 = 1e600 overflows the order-2 weight of mu_h2, without numpy's overflow warning
+        ("average", b'{"basis": {"kind": "custom", "lambdas": [1.0, 4.0, 1e300]}}', "x", [], 4, "numeric-error"),
     ], ids=["non-utf8-config", "file-as-out", "boolean-coeffs", "boolean-sweep", "N-1e20", "steps-1e20",
             "oracle-M-1e20", "N-2^63", "N-2^53", "steps-2^53", "oracle-M-2^53-2", "unknown-key",
             "unknown-nested-keys", "boolean-in-r", "average-overflow", "recover-overflow", "roundtrip-overflow",
-            "recover-noise-overflow"])
+            "recover-noise-overflow", "norm-overflow"])
     def test_module_failure_is_one_json_line(self, tmp_path, command, config, out, flags, code, kind):
         (tmp_path / "taken").write_text("")
         cfg_path = tmp_path / "cfg.json"
@@ -1004,7 +1005,7 @@ class TestFileEdge:
         proc = subprocess.run(
             [sys.executable, "-m", "schrodavg.cli", command, "--config", str(cfg_path),
              "--out", str(tmp_path / out), *flags],
-            capture_output=True, text=True, env=_env_with_src(),
+            capture_output=True, text=True, env=env_with_src(),
         )
         assert proc.returncode == code
         lines = proc.stderr.splitlines()

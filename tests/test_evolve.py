@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import power_law_state, runs_of_equal_eigenvalues
+from conftest import bits, power_law_state, runs_of_equal_eigenvalues
 from schrodavg import (
     AveragingParams,
     InvalidArgumentError,
@@ -252,11 +252,6 @@ class TestThreadedRows:
         with pytest.raises(NumericError, match="order-1 norm is not finite"):
             trajectory_sup_norm(traj, 1)
         assert len(made) == (2 if cpus > 1 else 0)
-
-
-def bits(a):
-    """The bit patterns of a complex array: -0.0 != 0.0."""
-    return np.ascontiguousarray(a).view(np.int64)
 
 
 def signed_basis(N):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from conftest import power_law_state
 from schrodavg import (
     AveragingParams,
     FdConfig,
@@ -140,6 +141,26 @@ class TestOracleMuCoeffs:
 
         # halving h means M -> 2M + 1 on the interior
         assert err(127, 2e-3) / err(255, 1e-3) > 3.0
+
+    # the second extrapolations read 1.5e-4 and 2.35e-3 on this ladder
+    @pytest.mark.parametrize("r, tol", [(1.0, 3e-4), (0.05 + 0.85j, 5e-3)], ids=["real", "resonant"])
+    def test_richardson_ladder_is_fourth_order(self, r, tol):
+        # h and dt halve from rung to rung; the scheme's error is second order in both plus
+        # fourth-order terms, so (4 fine - coarse) / 3 leaves a fourth-order error, which falls
+        # 16-fold per rung; a defect of any other order (a constant, or one first order in dt) stops that
+        basis = make_dirichlet_basis(1.0, 4)
+        xi = power_law_state(basis, 7, 1.0)
+        params = AveragingParams(r, 1.0)
+        want = apply_time_average(xi, params).values
+        rungs = [oracle_mu_coeffs(xi, params, FdConfig(M, dt)).values
+                 for M, dt in [(255, 1e-3), (511, 5e-4), (1023, 2.5e-4)]]
+        e1, e2 = [(4.0 * fine - coarse) / 3.0 for coarse, fine in zip(rungs, rungs[1:])]
+
+        def rel(v):
+            return np.abs(v - want) / np.abs(want)
+
+        assert np.all(rel(e1) / rel(e2) >= 12.0), rel(e1) / rel(e2)  # 15.9-16.5 per mode
+        assert rel((16.0 * e2 - e1) / 15.0).max() < tol
 
     def test_basis_kind_guard(self):
         b = make_periodic_basis(1.0, 2)

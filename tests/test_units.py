@@ -12,6 +12,7 @@ shift q, and the degeneracy verdict, whose threshold is floored at an absolute
 1; where either side refuses a mode, the maps are not compared.
 """
 
+import json
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from schrodavg import (
     ModeCoefficients,
     apply_time_average,
     conditioning_report,
+    load_coefficients,
     make_custom_basis,
     make_dirichlet_basis,
     make_periodic_basis,
@@ -34,6 +36,7 @@ from schrodavg import (
     trajectory_sup_norm,
     zeta_factors,
 )
+from schrodavg.cli import main
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -89,3 +92,37 @@ def test_scaled_units_change_no_bit(kind, n, L, j, re, im, T, x, seed):
     _same(s.times, s2.times, up)
     _same(s.states, s2.states)
     assert math.isfinite(sobolev_norm(back, 0))
+
+
+def test_scaled_units_on_the_command_line(tmp_path):
+    # j = 3: (L, T, r) = (1, 1, 1 + 0.5i) and (8, 64, (1 + 0.5i) / 64) on 16 Dirichlet modes.
+    # recover draws its data mu from the seed, the same on both sides, so its
+    # recovered state, not its data, carries the factor 4^-j
+    runs = {}
+    for name, L, T, r in [("one", 1.0, 1.0, 1 + 0.5j), ("scaled", 8.0, 64.0, (1 + 0.5j) / 64)]:
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"basis": {"L": L, "N": 16}, "T": T, "r": [r.real, r.imag]}))
+        for command in ("forward", "average", "recover", "roundtrip"):
+            out = runs[name, command] = tmp_path / name / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+
+    def both(command, file, read):
+        return [read(runs[side, command] / file) for side in ("one", "scaled")]
+
+    def coefficients(path):
+        return load_coefficients(path).values
+
+    def rows(path):  # t, k, re, im
+        return np.loadtxt(path, delimiter=",", skiprows=1)
+
+    mu, mu2 = both("average", "mu.json", coefficients)
+    _same(mu, mu2, 64.0)
+    xi, xi2 = both("recover", "xi.json", coefficients)
+    _same(xi, xi2, 1 / 64)
+    traj, traj2 = both("recover", "trajectory.csv", rows)
+    _same(traj[:, 2:], traj2[:, 2:], 1 / 64)
+    traj, traj2 = both("forward", "trajectory.csv", rows)
+    _same(traj[:, 0], traj2[:, 0], 64.0)
+    _same(traj[:, 1:], traj2[:, 1:])
+    errors, errors2 = both("roundtrip", "errors.csv", lambda path: path.read_bytes())
+    assert errors == errors2
